@@ -9,14 +9,18 @@ the canonical representations.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    InvalidSpec,
     LengthMismatch,
     LevelCapExceeded,
     LevelTooLow,
@@ -27,6 +31,14 @@ from .errors import (
 DEFAULT_LEVEL_CAP = 26
 _LEVEL_CAP_HARD_MAX = 28
 
+# Dense work runs on integer numerators over one common denominator while
+# that denominator has at most this many bits, and on per-run Fractions past
+# it.  Sampled weights have ~40-bit denominators whose LCM grows without
+# bound, so the guard is checked as the LCM is built.
+_DEN_BITS = 256
+# int64 arithmetic is used where every magnitude met has at most this many bits
+_INT64_BITS = 62
+
 
 def level_cap() -> int:
     """Current cell-level cap; RLAB_LEVEL_CAP overrides, bounded at 28."""
@@ -36,7 +48,7 @@ def level_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        return DEFAULT_LEVEL_CAP
+        raise InvalidSpec(f"RLAB_LEVEL_CAP must be an integer, got {raw!r}") from None
     return max(0, min(cap, _LEVEL_CAP_HARD_MAX))
 
 
@@ -57,6 +69,100 @@ def _canonical_runs(runs: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fr
         else:
             out.append((length, value))
     return tuple(out)
+
+
+def _within_guard(den: int) -> bool:
+    """Whether a common denominator is small enough for the integer kernel."""
+    return den.bit_length() <= _DEN_BITS
+
+
+def _common_denominator(dens: Iterable[int]) -> int | None:
+    """LCM of `dens`, or None as soon as it leaves the integer kernel's guard."""
+    den = 1
+    for d in dens:
+        if den % d:
+            den = den // math.gcd(den, d) * d
+            if not _within_guard(den):
+                return None
+    return den
+
+
+def _ints(values, top: int) -> np.ndarray:
+    """Integers as int64 when `top` bounds every magnitude met, else as Python ints."""
+    return np.asarray(values, dtype=np.int64 if top.bit_length() <= _INT64_BITS else object)
+
+
+class _IntForm(NamedTuple):
+    """A StepFunction's run values as integer numerators over one denominator."""
+
+    den: int
+    lengths: np.ndarray  # int64 run lengths
+    nums: np.ndarray  # value = num / den; int64 exactly when top fits
+    top: int  # max |num|
+
+
+def _attach(f: "StepFunction", form: _IntForm) -> "StepFunction":
+    f.__dict__["_int_form"] = form if _within_guard(form.den) else None
+    return f
+
+
+def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "StepFunction":
+    """Canonical StepFunction with run values nums/den of the given lengths.
+
+    Equal adjacent runs merge and the level drops on the integers; a Fraction
+    is made once per distinct value.
+    """
+    if len(nums) > 1:
+        starts = np.flatnonzero(np.concatenate(([True], nums[1:] != nums[:-1])))
+        if len(starts) < len(nums):
+            lengths = np.add.reduceat(lengths, starts)
+            nums = nums[starts]
+    # adjacent runs now differ, so the level drops by the trailing zero bits
+    # that every run length shares
+    low = int(np.bitwise_or.reduce(lengths))
+    drop = min(level, (low & -low).bit_length() - 1)
+    if drop:
+        lengths = lengths >> drop
+        level -= drop
+    g = math.gcd(den, int(np.gcd.reduce(nums)))
+    if g > 1:
+        den //= g
+        # g passes int64 only when every num is 0
+        nums = (nums if g.bit_length() <= _INT64_BITS else nums.astype(object)) // g
+    distinct, which = np.unique(nums, return_inverse=True)
+    top = max(-int(distinct[0]), int(distinct[-1]))
+    fractions = [Fraction(v, den) for v in distinct.tolist()]
+    f = StepFunction(level, tuple(zip(lengths.tolist(), map(fractions.__getitem__, which))))
+    return _attach(f, _IntForm(den, lengths, _ints(nums, top), top))
+
+
+def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np.ndarray, int] | None:
+    """Cell numerators of sum a_k r_k over one common denominator, in cell
+    order, or None past the guard; int64 only if `headroom` more bits fit."""
+    den = _common_denominator(c.denominator for c in coeffs)
+    if den is None:
+        return None
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    cells = _ints([0], sum(map(abs, nums)) << headroom)
+    for c in nums:
+        # each current cell splits into the adjacent pair (v+c, v-c)
+        nxt = np.empty(2 * len(cells), dtype=cells.dtype)
+        nxt[0::2] = cells + c
+        nxt[1::2] = cells - c
+        cells = nxt
+    return cells, den
+
+
+def _length_sum(form: _IntForm, level: int, p: int | None) -> int:
+    """Exact sum over runs of length * num, or of length * |num|**p."""
+    bound = form.top if p is None else form.top**p
+    if (bound << level).bit_length() <= _INT64_BITS:
+        vals = form.nums if p is None else np.abs(form.nums) ** p
+        return int(vals @ form.lengths)
+    pairs = zip(form.lengths.tolist(), form.nums.tolist())
+    if p is None:
+        return sum(length * v for length, v in pairs)
+    return sum(length * abs(v) ** p for length, v in pairs)
 
 
 @dataclass(frozen=True)
@@ -87,6 +193,20 @@ class StepFunction:
     @staticmethod
     def zero() -> "StepFunction":
         return StepFunction.constant(0)
+
+    @cached_property
+    def _int_form(self) -> _IntForm | None:
+        """Integer form for the exact kernel; None past the denominator guard.
+
+        Cached off the dataclass fields, so equality, hash and JSON ignore it.
+        """
+        den = _common_denominator(value.denominator for _, value in self.runs)
+        if den is None:
+            return None
+        nums = [value.numerator * (den // value.denominator) for _, value in self.runs]
+        top = max(map(abs, nums))
+        lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
+        return _IntForm(den, lengths, _ints(nums, top), top)
 
     @property
     def num_cells(self) -> int:
@@ -130,12 +250,22 @@ class StepFunction:
         return self.runs[-1][1]
 
     def integral(self) -> Fraction:
-        width = Fraction(1, 2**self.level)
-        return sum((length * value for length, value in self.runs), Fraction(0)) * width
+        form = self._int_form
+        if form is None:
+            width = Fraction(1, 2**self.level)
+            return sum((length * value for length, value in self.runs), Fraction(0)) * width
+        return Fraction(_length_sum(form, self.level, None), form.den << self.level)
+
+    def abs_moment(self, p: int) -> Fraction:
+        """Exact integral of |f|**p for an integer p >= 1."""
+        form = self._int_form
+        if form is None:
+            width = Fraction(1, 2**self.level)
+            return sum((length * abs(value) ** p for length, value in self.runs), Fraction(0)) * width
+        return Fraction(_length_sum(form, self.level, p), form.den**p << self.level)
 
     def abs_integral(self) -> Fraction:
-        width = Fraction(1, 2**self.level)
-        return sum((length * abs(value) for length, value in self.runs), Fraction(0)) * width
+        return self.abs_moment(1)
 
     def sup_abs(self) -> Fraction:
         return max(abs(value) for _, value in self.runs)
@@ -162,9 +292,28 @@ class StepFunction:
     def __neg__(self) -> "StepFunction":
         return self.scale(-1)
 
-    def _zip(self, other: "StepFunction", fn) -> "StepFunction":
+    def _zip(self, other: "StepFunction", op) -> "StepFunction":
+        """Cellwise op (operator.add, sub or mul) of two step functions."""
         level = max(self.level, other.level)
         _check_level(level)
+        a, b = self._int_form, other._int_form
+        if a is None or b is None:
+            return self._zip_fractions(other, op, level)
+        if op is operator.mul:
+            den, ka, kb = a.den * b.den, 1, 1
+            top = max(a.top * b.top, a.top, b.top)  # a zero factor bounds nothing
+        else:
+            den = math.lcm(a.den, b.den)
+            ka, kb = den // a.den, den // b.den
+            top = max(a.top * ka + b.top * kb, ka, kb)
+        ends_a = np.cumsum(a.lengths << (level - self.level))
+        ends_b = np.cumsum(b.lengths << (level - other.level))
+        ends = np.union1d(ends_a, ends_b)
+        x = _ints(a.nums, top)[np.searchsorted(ends_a, ends)] * ka
+        y = _ints(b.nums, top)[np.searchsorted(ends_b, ends)] * kb
+        return _from_ints(level, np.diff(ends, prepend=0), op(x, y), den)
+
+    def _zip_fractions(self, other: "StepFunction", fn, level: int) -> "StepFunction":
         a = [(length * 2 ** (level - self.level), value) for length, value in self.runs]
         b = [(length * 2 ** (level - other.level), value) for length, value in other.runs]
         out: list[tuple[int, Fraction]] = []
@@ -187,18 +336,68 @@ class StepFunction:
         return StepFunction.from_runs(level, out)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, lambda x, y: x + y)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, lambda x, y: x - y)
+        return self._zip(other, operator.sub)
 
     def __mul__(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, lambda x, y: x * y)
+        return self._zip(other, operator.mul)
 
     def reciprocal(self) -> "StepFunction":
         if any(value == 0 for _, value in self.runs):
             raise ZeroDivisionError("step function has zero cells")
         return self.map(lambda v: 1 / v)
+
+    def rademacher_coefficients(self, n: int) -> list[Fraction]:
+        """Exact c_k = integral of f r_k for k = 1..n.
+
+        c_k is the alternating-sign sum of the integrals of f over the rank-k
+        dyadic cells, folded down one rank at a time; for k above f's level
+        the sibling halves cancel, so c_k = 0 exactly.
+        """
+        coeffs = [Fraction(0)] * n
+        kmax = min(n, self.level)
+        if kmax < 1:
+            return coeffs
+        scale = 2 ** (self.level - kmax)  # level cells per rank-kmax cell
+        form = self._int_form
+        if form is None:
+            width = Fraction(1, 2**self.level)
+            cell = [Fraction(0)] * 2**kmax  # integral of f over each rank-kmax cell
+            pos = 0
+            for length, value in self.runs:
+                if value != 0:
+                    start, end = pos, pos + length
+                    j0, j1 = start // scale, (end - 1) // scale
+                    if j0 == j1:
+                        cell[j0] += value * length * width
+                    else:
+                        cell[j0] += value * ((j0 + 1) * scale - start) * width
+                        cell[j1] += value * (end - j1 * scale) * width
+                        full = value * scale * width
+                        for j in range(j0 + 1, j1):
+                            cell[j] += full
+                pos += length
+            for k in range(kmax, 0, -1):
+                coeffs[k - 1] = sum(
+                    (cell[j] - cell[j + 1] for j in range(0, 2**k, 2)), Fraction(0)
+                )
+                cell = [cell[2 * j] + cell[2 * j + 1] for j in range(2 ** (k - 1))]
+            return coeffs
+        # integer mass of f over cells [0, x) at each rank-kmax boundary x, read
+        # off the run holding cell x; every magnitude is at most top * 2**level
+        nums = _ints(form.nums, form.top << self.level)
+        starts = np.cumsum(form.lengths) - form.lengths
+        before = np.cumsum(form.lengths * nums) - form.lengths * nums
+        x = np.arange(2**kmax + 1, dtype=np.int64) * scale
+        run = np.searchsorted(starts, x, side="right") - 1
+        cell = np.diff(before[run] + (x - starts[run]) * nums[run])
+        den = form.den << self.level
+        for k in range(kmax, 0, -1):
+            coeffs[k - 1] = Fraction(int(cell[0::2].sum() - cell[1::2].sum()), den)
+            cell = cell[0::2] + cell[1::2]
+        return coeffs
 
     def inner(self, other: "StepFunction") -> Fraction:
         """Exact L2 pairing <f, g> = integral of f*g."""
@@ -270,6 +469,9 @@ def chi_prefix(t: Fraction, level: int | None = None) -> StepFunction:
     return indicator(level, range(1, cells + 1))
 
 
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 def rademacher(k: int, level: int | None = None) -> StepFunction:
     """Rademacher function r_k = sign(sin 2^k pi t), constant on rank-k cells."""
     if k < 1:
@@ -279,33 +481,20 @@ def rademacher(k: int, level: int | None = None) -> StepFunction:
     if level < k:
         raise LevelTooLow(f"level {level} < k = {k}")
     _check_level(level)
-    runs = []
-    for j in range(2**k):
-        runs.append((1, Fraction(1) if j % 2 == 0 else Fraction(-1)))
-    return StepFunction.from_runs(k, runs)
+    f = StepFunction(k, ((1, _ONE), (1, _MINUS_ONE)) * 2 ** (k - 1))
+    signs = np.tile(np.array([1, -1], dtype=np.int64), 2 ** (k - 1))
+    return _attach(f, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
 
 
 def rademacher_sum(a: Sequence) -> StepFunction:
     """Exact finite Rademacher sum sum_k a_k r_k at level n = len(a)."""
-    import math
-
     coeffs = [Fraction(v) for v in a]
     n = len(coeffs)
     _check_level(n)
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    if den.bit_length() <= 48:
-        nums = [int(c * den) for c in coeffs]
-        if (sum(abs(v) for v in nums) + 1).bit_length() <= 62:
-            cells = np.zeros(1, dtype=np.int64)
-            for c in nums:
-                # each current cell splits into the adjacent pair (v+c, v-c)
-                nxt = np.empty(2 * len(cells), dtype=np.int64)
-                nxt[0::2] = cells + c
-                nxt[1::2] = cells - c
-                cells = nxt
-            return StepFunction.from_runs(
-                n, ((1, Fraction(int(v), den)) for v in cells)
-            )
+    enumerated = _rademacher_cells(coeffs)
+    if enumerated is not None:
+        cells, den = enumerated
+        return _from_ints(n, np.ones(len(cells), dtype=np.int64), cells, den)
     vals = [Fraction(0)]
     for ak in coeffs:
         # r_{k+1} alternates sign on each half of every current cell

@@ -12,6 +12,7 @@ import numpy as np
 
 from .dyadic import (
     StepFunction,
+    _rademacher_cells,
     hadamard_select,
     level_cap,
     rademacher,
@@ -67,42 +68,12 @@ class NormBracket:
 
 
 def coefficients(f: StepFunction, n: int) -> CoeffSeq:
-    """Exact Rademacher coefficients c_k = integral f r_k, k = 1..n.
-
-    c_k is the alternating-sign sum of the per-cell integrals of f over the
-    rank-k dyadic cells; for k above f's level the sibling halves cancel, so
-    c_k = 0 exactly.  Cell integrals are folded down one level at a time.
-    """
+    """Exact Rademacher coefficients c_k = integral f r_k, k = 1..n."""
     if n > level_cap():
         raise LevelCapExceeded(f"n = {n} exceeds cap {level_cap()}")
     if n < 1:
         return CoeffSeq(())
-    coeffs = [Fraction(0)] * n
-    kmax = min(n, f.level)
-    if kmax >= 1:
-        width = Fraction(1, 2**f.level)
-        scale = 2 ** (f.level - kmax)  # level cells per rank-kmax cell
-        cell = [Fraction(0)] * 2**kmax  # integral of f over each rank-kmax cell
-        pos = 0
-        for length, value in f.runs:
-            if value != 0:
-                start, end = pos, pos + length
-                j0, j1 = start // scale, (end - 1) // scale
-                if j0 == j1:
-                    cell[j0] += value * length * width
-                else:
-                    cell[j0] += value * ((j0 + 1) * scale - start) * width
-                    cell[j1] += value * (end - j1 * scale) * width
-                    full = value * scale * width
-                    for j in range(j0 + 1, j1):
-                        cell[j] += full
-            pos += length
-        for k in range(kmax, 0, -1):
-            coeffs[k - 1] = sum(
-                (cell[j] - cell[j + 1] for j in range(0, 2**k, 2)), Fraction(0)
-            )
-            cell = [cell[2 * j] + cell[2 * j + 1] for j in range(2 ** (k - 1))]
-    return CoeffSeq(tuple(coeffs))
+    return CoeffSeq(tuple(f.rademacher_coefficients(n)))
 
 
 def project(f: StepFunction, n: int) -> StepFunction:
@@ -126,20 +97,11 @@ def rademacher_sum_l1_exact(a: Sequence) -> Fraction:
     n = len(coeffs)
     if n > KHINTCHINE_MAX_N:
         raise TooManyCoefficients(f"n = {n} exceeds {KHINTCHINE_MAX_N}")
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    nums = [int(c * den) for c in coeffs]
-    max_abs = sum(abs(v) for v in nums)
-    if max_abs.bit_length() + n <= 62:
-        vals = np.zeros(1, dtype=np.int64)
-        for c in nums:
-            vals = np.concatenate([vals + c, vals - c])
-        total = int(np.abs(vals).sum())
-    else:
-        vals_py = [0]
-        for c in nums:
-            vals_py = [v + c for v in vals_py] + [v - c for v in vals_py]
-        total = sum(abs(v) for v in vals_py)
-    return Fraction(total, den * 2**n)
+    enumerated = _rademacher_cells(coeffs, headroom=n)
+    if enumerated is None:
+        return rademacher_sum(coeffs).abs_integral()
+    cells, den = enumerated
+    return Fraction(int(np.abs(cells).sum()), den << n)
 
 
 def khintchine_check(a: CoeffSeq | Sequence) -> dict:

@@ -112,12 +112,7 @@ class Lp(SpaceSpec):
         p = self.p
         if p.denominator == 1:
             # exact rational p-th moment, single controlled root at the end
-            total = Fraction(0)
-            width = Fraction(1, 2**f.level)
-            for length, value in f.runs:
-                total += length * abs(value) ** int(p)
-            total *= width
-            return float(total) ** (1.0 / int(p))
+            return float(f.abs_moment(int(p))) ** (1.0 / int(p))
         pf = float(p)
         width = 1.0 / 2**f.level
         total = math.fsum(length * abs(float(value)) ** pf for length, value in f.runs) * width

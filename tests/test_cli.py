@@ -55,6 +55,25 @@ class TestNorm:
         code, _ = run(capsys, "norm", "--space", "lp:2", "--values", "1,2,3")
         assert code == 1
 
+    @pytest.mark.parametrize("space,values", [
+        ("lp:2", "1e200,1"),
+        ("lp:4", "1e200,1"),
+        ("lp:5/2", "1e200,1"),
+        # a 301-bit denominator takes the per-run Fraction path
+        ("lp:2", f"1e200,1/{2**300 + 1}"),
+    ])
+    def test_overflow_exit_2(self, capsys, space, values):
+        code = main(["norm", "--space", space, "--values", values])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+
+    def test_malformed_level_cap_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("RLAB_LEVEL_CAP", "abc")
+        code = main(["norm", "--space", "lp:2", "--values", "1,2"])
+        assert code == 1
+        assert "RLAB_LEVEL_CAP" in capsys.readouterr().err
+
 
 class TestRearrange:
     def test_sorted_output(self, capsys):

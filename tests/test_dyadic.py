@@ -25,6 +25,7 @@ from rlab.dyadic import (
     single_negative_select,
 )
 from rlab.errors import (
+    InvalidSpec,
     LengthMismatch,
     LevelCapExceeded,
     LevelTooLow,
@@ -77,7 +78,8 @@ class TestConstruction:
         monkeypatch.setenv("RLAB_LEVEL_CAP", "99")
         assert level_cap() == 28  # hard maximum
         monkeypatch.setenv("RLAB_LEVEL_CAP", "junk")
-        assert level_cap() == 26
+        with pytest.raises(InvalidSpec):
+            level_cap()
 
     def test_indicator_and_chi_prefix(self):
         chi = chi_prefix(F(1, 4))
