@@ -5,7 +5,6 @@ from .dyadic import (
     SignMatrix,
     StepFunction,
     chi_prefix,
-    combine,
     hadamard_select,
     indicator,
     level_cap,

@@ -23,7 +23,7 @@ from .dyadic import (
 )
 from .errors import BlockTooSmall, GrowthConditionViolated, LevelCapExceeded, NotPowerOfTwo
 from .rearrangement import equimeasurable
-from .spaces import loghalf_cumulative
+from .spaces import _star_cells, loghalf_cumulative
 
 
 @dataclass(frozen=True)
@@ -280,13 +280,9 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
 
 def sym_integral_trend_function(f: StepFunction) -> float:
     """integral of f*(t) log^(1/2)(e/t) dt for an explicit step function."""
-    from .rearrangement import decreasing_rearrangement
-
     total = 0.0
-    for a, b, v in decreasing_rearrangement(f).cells():
-        if v == 0:
-            break
-        total += float(v) * (loghalf_cumulative(float(b)) - loghalf_cumulative(float(a)))
+    for a, b, v in _star_cells(f):
+        total += v * (loghalf_cumulative(b) - loghalf_cumulative(a))
     return total
 
 

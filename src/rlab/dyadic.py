@@ -250,19 +250,32 @@ class StepFunction:
         return self.runs[-1][1]
 
     def integral(self) -> Fraction:
+        return Fraction(*self._moment_pair(None))
+
+    def _moment_pair(self, p: int | None) -> tuple[int, int]:
+        """Unreduced (num, den) with num / den the exact integral of f, or of
+        |f|**p for an integer p >= 1.
+
+        Past the guard the terms length * n**p / d**p are summed pairwise,
+        so no gcd is taken and operand sizes stay balanced.
+        """
         form = self._int_form
-        if form is None:
-            width = Fraction(1, 2**self.level)
-            return sum((length * value for length, value in self.runs), Fraction(0)) * width
-        return Fraction(_length_sum(form, self.level, None), form.den << self.level)
+        if form is not None:
+            return _length_sum(form, self.level, p), form.den ** (p or 1) << self.level
+        e = p or 1
+        terms = [(length * (v.numerator if p is None else abs(v.numerator)) ** e, v.denominator**e)
+                 for length, v in self.runs]
+        while len(terms) > 1:
+            paired = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in zip(terms[0::2], terms[1::2])]
+            if len(terms) % 2:
+                paired.append(terms[-1])
+            terms = paired
+        num, den = terms[0]
+        return num, den << self.level
 
     def abs_moment(self, p: int) -> Fraction:
         """Exact integral of |f|**p for an integer p >= 1."""
-        form = self._int_form
-        if form is None:
-            width = Fraction(1, 2**self.level)
-            return sum((length * abs(value) ** p for length, value in self.runs), Fraction(0)) * width
-        return Fraction(_length_sum(form, self.level, p), form.den**p << self.level)
+        return Fraction(*self._moment_pair(p))
 
     def abs_integral(self) -> Fraction:
         return self.abs_moment(1)
@@ -297,8 +310,16 @@ class StepFunction:
         level = max(self.level, other.level)
         _check_level(level)
         a, b = self._int_form, other._int_form
+        ends_a = np.cumsum(self._lengths() << (level - self.level))
+        ends_b = np.cumsum(other._lengths() << (level - other.level))
+        ends = np.union1d(ends_a, ends_b)
+        ia, ib = np.searchsorted(ends_a, ends), np.searchsorted(ends_b, ends)
+        lengths = np.diff(ends, prepend=0)
         if a is None or b is None:
-            return self._zip_fractions(other, op, level)
+            # past the guard: op on the aligned Fractions
+            va = map([value for _, value in self.runs].__getitem__, ia.tolist())
+            vb = map([value for _, value in other.runs].__getitem__, ib.tolist())
+            return StepFunction.from_runs(level, zip(lengths.tolist(), map(op, va, vb)))
         if op is operator.mul:
             den, ka, kb = a.den * b.den, 1, 1
             top = max(a.top * b.top, a.top, b.top)  # a zero factor bounds nothing
@@ -306,34 +327,15 @@ class StepFunction:
             den = math.lcm(a.den, b.den)
             ka, kb = den // a.den, den // b.den
             top = max(a.top * ka + b.top * kb, ka, kb)
-        ends_a = np.cumsum(a.lengths << (level - self.level))
-        ends_b = np.cumsum(b.lengths << (level - other.level))
-        ends = np.union1d(ends_a, ends_b)
-        x = _ints(a.nums, top)[np.searchsorted(ends_a, ends)] * ka
-        y = _ints(b.nums, top)[np.searchsorted(ends_b, ends)] * kb
-        return _from_ints(level, np.diff(ends, prepend=0), op(x, y), den)
+        x = _ints(a.nums, top)[ia] * ka
+        y = _ints(b.nums, top)[ib] * kb
+        return _from_ints(level, lengths, op(x, y), den)
 
-    def _zip_fractions(self, other: "StepFunction", fn, level: int) -> "StepFunction":
-        a = [(length * 2 ** (level - self.level), value) for length, value in self.runs]
-        b = [(length * 2 ** (level - other.level), value) for length, value in other.runs]
-        out: list[tuple[int, Fraction]] = []
-        i = j = 0
-        ra, va = a[0]
-        rb, vb = b[0]
-        while True:
-            step = min(ra, rb)
-            out.append((step, Fraction(fn(va, vb))))
-            ra -= step
-            rb -= step
-            if ra == 0:
-                i += 1
-                if i == len(a):
-                    break
-                ra, va = a[i]
-            if rb == 0:
-                j += 1
-                rb, vb = b[j]
-        return StepFunction.from_runs(level, out)
+    def _lengths(self) -> np.ndarray:
+        form = self._int_form
+        if form is not None:
+            return form.lengths
+        return np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return self._zip(other, operator.add)
@@ -582,19 +584,3 @@ def single_negative_select(n: int) -> tuple[int, ...]:
         raise TooLarge(f"n must be >= 2, got {n}")
     return tuple(sorted(1 + 2 ** (n - i) for i in range(1, n + 1)))
 
-
-def combine(f: StepFunction, g: StepFunction | None, op: str, *, c=None, indices=None) -> StepFunction:
-    """Dispatch for cellwise algebra: add, sub, mul, abs, scale, indicator."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "abs":
-        return abs(f)
-    if op == "scale":
-        return f.scale(c)
-    if op == "indicator":
-        return f * indicator(f.level, indices)
-    raise ValueError(f"unknown op {op!r}")

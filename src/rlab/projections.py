@@ -19,7 +19,7 @@ from .dyadic import (
     rademacher_sum,
     sign_matrix,
 )
-from .errors import LevelCapExceeded, TooManyCoefficients
+from .errors import LevelCapExceeded, TooManyCoefficients, UnsupportedDual
 from .spaces import (
     Lp,
     SpaceSpec,
@@ -361,7 +361,7 @@ def theorem_predicates(X: SpaceSpec, w: Weight, n: int = 8, budget: int = 80, se
             "upper": dual_bracket.upper,
             "method": dual_bracket.method,
         }
-    except Exception as exc:  # UnsupportedDual propagates as a note
+    except UnsupportedDual as exc:  # no dual formula: recorded as a note
         report["inv_w_in_mult_dual"] = {"error": type(exc).__name__}
 
     if isinstance(X, ExpLp):

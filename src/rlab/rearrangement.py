@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,17 +51,19 @@ def distribution(f: StepFunction) -> DistributionFn:
 def decreasing_rearrangement(f: StepFunction) -> StepFunction:
     """f*: |values| sorted nonincreasing; ties keep original order.
 
-    Values are scaled to a common denominator so the sort compares plain
-    integers instead of cross-multiplying Fractions on every comparison.
+    Sorting on (float(|v|), |v|) gives the stable exact order: rounding is
+    monotone, so floats decide every pair they separate and the exact value
+    breaks their ties; a reverse sort stays stable.
     """
-    import math
+    runs = sorted(((length, abs(value)) for length, value in f.runs), key=_magnitude, reverse=True)
+    return StepFunction.from_runs(f.level, runs)
 
-    common = math.lcm(*{value.denominator for _, value in f.runs})
-    runs = sorted(
-        f.runs,
-        key=lambda run: -abs(run[1].numerator) * (common // run[1].denominator),
-    )
-    return StepFunction.from_runs(f.level, ((length, abs(value)) for length, value in runs))
+
+def _magnitude(run: tuple[int, Fraction]) -> tuple[float, Fraction]:
+    try:
+        return float(run[1]), run[1]
+    except OverflowError:  # past every float, the exact value alone orders
+        return math.inf, run[1]
 
 
 def equimeasurable(f: StepFunction, g: StepFunction) -> bool:

@@ -7,6 +7,7 @@ StepFunctions; outputs are floats at documented tolerances.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,13 +62,17 @@ def divergence_trend(values: list[float]) -> tuple[bool, list[float]]:
 
 
 def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
-    """(start, end, value) runs of f*, floats, zero-valued tail dropped."""
+    """(start, end, value) runs of f*, floats, zero-valued tail dropped.
+    Endpoints are cell positions times 2**-level, exact for level <= 28."""
     star = decreasing_rearrangement(f)
+    width = 2.0**-star.level
     cells = []
-    for a, b, v in star.cells():
-        if v == 0:
+    pos = 0
+    for length, value in star.runs:
+        if value == 0:
             break
-        cells.append((float(a), float(b), float(v)))
+        cells.append((pos * width, (pos + length) * width, float(value)))
+        pos += length
     return cells
 
 
@@ -111,8 +116,9 @@ class Lp(SpaceSpec):
     def norm(self, f: StepFunction) -> float:
         p = self.p
         if p.denominator == 1:
-            # exact rational p-th moment, single controlled root at the end
-            return float(f.abs_moment(int(p))) ** (1.0 / int(p))
+            # exact p-th moment, one correctly rounded division, one root
+            num, den = f._moment_pair(int(p))
+            return (num / den) ** (1.0 / int(p))
         pf = float(p)
         width = 1.0 / 2**f.level
         total = math.fsum(length * abs(float(value)) ** pf for length, value in f.runs) * width
@@ -143,16 +149,14 @@ class Lorentz(SpaceSpec):
         return {"phi": self.phi.label}
 
     def norm(self, f: StepFunction) -> float:
-        star = decreasing_rearrangement(f)
-        total = 0.0
-        prev = 0.0
+        # the zero tail adds only zero terms, so it is left out
         terms = []
-        for _, b, v in star.cells():
-            cur = self.phi(float(b))
-            terms.append(float(v) * (cur - prev))
+        prev = 0.0
+        for _, b, v in _star_cells(f):
+            cur = self.phi(b)
+            terms.append(v * (cur - prev))
             prev = cur
-        total = math.fsum(terms)
-        return total
+        return math.fsum(terms)
 
     def fundamental(self, t) -> float:
         return self.phi(float(t))
@@ -483,20 +487,29 @@ def sym_kernel_report(X: SpaceSpec, f: StepFunction) -> dict:
         }
 
     if isinstance(X, Marcinkiewicz):
-        def H(t: float) -> float:
-            acc = 0.0
-            for a, b, v in cells:
-                if t <= a:
-                    break
-                acc += v * (loghalf_cumulative(min(t, b)) - loghalf_cumulative(a))
-            return acc
+        # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
+        # from prefix sums added in the direct sum's left-to-right order
+        L = loghalf_cumulative
+        starts = [a for a, _, _ in cells]
+        prefix = [0.0]
+        for a, b, v in cells:
+            prefix.append(prefix[-1] + v * (L(b) - L(a)))
 
-        sups = []
-        for jmax in (16, 32, 64, 128, 256):
-            candidates = [2.0**-j for j in range(0, jmax + 1)]
-            candidates += [b for _, b, _ in cells]
-            best = max(X.phi(t) / t * H(t) for t in candidates if t > 0)
-            sups.append(best)
+        def H(t: float) -> float:
+            k = bisect.bisect_left(starts, t)
+            if k == 0:
+                return 0.0
+            a, b, v = cells[k - 1]
+            return prefix[k] if t >= b else prefix[k - 1] + v * (L(t) - L(a))
+
+        def objective(t: float) -> float:
+            return X.phi(t) / t * H(t)
+
+        # each candidate is evaluated once; a truncation's candidates are a
+        # prefix of the dyadic grid, then the cell ends
+        grid = [objective(2.0**-j) for j in range(0, 257)]
+        edges = [objective(b) for _, b, _ in cells]
+        sups = [max(grid[: jmax + 1] + edges) for jmax in (16, 32, 64, 128, 256)]
         diverging, _ = divergence_trend(sups)
         return {
             "value": math.inf if diverging else sups[-1],

@@ -13,7 +13,6 @@ from rlab.dyadic import (
     SignMatrix,
     StepFunction,
     chi_prefix,
-    combine,
     hadamard_select,
     indicator,
     level_cap,
@@ -212,14 +211,14 @@ class TestSelections:
 
 
 class TestAlgebra:
-    def test_rk_squared_via_combine(self):
+    def test_rk_squared_is_one(self):
         r1 = rademacher(1)
-        assert combine(r1, r1, "mul") == StepFunction.constant(1)
+        assert r1 * r1 == StepFunction.constant(1)
 
     def test_add_halves(self):
         f = make_step(1, [1, 0])
         g = make_step(1, [0, 1])
-        assert combine(f, g, "add") == StepFunction.constant(1)
+        assert f + g == StepFunction.constant(1)
 
     def test_indicator_product(self):
         r2 = rademacher(2)
@@ -228,8 +227,8 @@ class TestAlgebra:
 
     def test_scale_and_abs(self):
         f = make_step(1, [-2, 3])
-        assert combine(f, None, "scale", c=F(1, 2)).values() == [F(-1), F(3, 2)]
-        assert combine(f, None, "abs").values() == [F(2), F(3)]
+        assert f.scale(F(1, 2)).values() == [F(-1), F(3, 2)]
+        assert abs(f).values() == [F(2), F(3)]
 
     def test_reciprocal(self):
         f = make_step(1, [2, 4])

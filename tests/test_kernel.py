@@ -2,7 +2,9 @@
 
 Each oracle reads cell values off the public runs and does its arithmetic
 with Fractions.  Coefficients mix dyadic denominators with 40-bit odd ones,
-so functions fall on both sides of the common-denominator guard.
+so functions fall on both sides of the common-denominator guard; the last
+group of tests draws only functions past it, where products, moments and
+rearrangements take the Fraction path.
 """
 
 from fractions import Fraction as F
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from rlab.dyadic import StepFunction, make_step, rademacher_sum
 from rlab.projections import coefficients, rademacher_sum_l1_exact
+from rlab.rearrangement import decreasing_rearrangement
 from rlab.spaces import Lp
 
 dyadic = st.builds(
@@ -108,3 +111,66 @@ def test_coefficients_are_sign_sums(f):
         for k in range(1, level + 3)
     ]
     assert list(coefficients(f, level + 2).a) == expected
+
+
+@st.composite
+def past_guard(draw):
+    """A function at level 3..10 taking each of eight values over the
+    WIDE_PRIMES at least once, plus up to four other 40-bit-denominator
+    values, so its common denominator has more than 256 bits."""
+    level = draw(st.integers(3, 10))
+    primed = [F(draw(st.integers(1, p - 1)) * draw(st.sampled_from([-1, 1])), p) for p in WIDE_PRIMES]
+    pool = primed + draw(st.lists(wide, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = primed + [pool[i] for i in rng.integers(len(pool), size=2**level - len(primed))]
+    rng.shuffle(cells)
+    f = make_step(level, cells)
+    assert f._int_form is None
+    return f
+
+
+# float(1) == float(1 + 2**-60): the exact values must break the tie, and
+# the smaller one comes first so that a float-only stable sort would fail
+FLOAT_TIE = make_step(
+    4, [F(1), F(-1), F(1) + F(1, 2**60), *PAST_GUARD, F(1, 3), F(1), F(3, 549755813911), F(0), F(-1)]
+)
+# |values| past every float: the exact values alone order them
+OVERFLOW = make_step(2, [F(10**400), F(1), F(-(10**400) - 1), F(3, 549755813911)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(past_guard())
+@example(FLOAT_TIE)
+@example(OVERFLOW)
+def test_rearrangement_is_the_stable_exact_sort(f):
+    expected = StepFunction.from_runs(
+        f.level, ((length, abs(v)) for length, v in sorted(f.runs, key=lambda r: -abs(r[1])))
+    )
+    assert decreasing_rearrangement(f) == expected
+
+
+def test_float_tie_is_past_the_guard():
+    assert FLOAT_TIE._int_form is None
+    star = decreasing_rearrangement(FLOAT_TIE)
+    assert [v for _, v in star.runs][:2] == [F(1) + F(1, 2**60), F(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(past_guard())
+@example(FLOAT_TIE)
+def test_moments_past_the_guard(f):
+    cells = cells_of(f, f.level)
+    assert f.integral() == sum(cells, F(0)) / 2**f.level
+    for p in (1, 2, 4):
+        moment = sum((abs(v) ** p for v in cells), F(0)) / 2**f.level
+        assert f.abs_moment(p) == moment
+        assert Lp(F(p)).norm(f) == float(moment) ** (1.0 / p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_functions(), past_guard())
+def test_products_and_sums_past_the_guard(f, w):
+    level = max(f.level, w.level)
+    pairs = list(zip(cells_of(f, level), cells_of(w, level)))
+    assert f * w == make_step(level, [x * y for x, y in pairs])
+    assert f + w == make_step(level, [x + y for x, y in pairs])

@@ -18,7 +18,7 @@ from rlab.dyadic import (
     rademacher_sum,
     single_negative_select,
 )
-from rlab.errors import TooManyCoefficients
+from rlab.errors import TooManyCoefficients, UnsupportedDual
 from rlab.phi import LogPowerPhi
 from rlab.projections import (
     CoeffSeq,
@@ -246,3 +246,20 @@ class TestTheoremPredicates:
     def test_explp_p2_maps_to_bounded_membership(self):
         rep = theorem_predicates(ExpLp(F(2)), Weight.constant(1), n=4, budget=30, seed=0)
         assert rep["explp_weight_membership"]["q"] == math.inf
+
+    def test_only_a_missing_dual_becomes_a_note(self, monkeypatch):
+        import rlab.projections as projections
+
+        def no_dual(X):
+            raise UnsupportedDual(X.label)
+
+        monkeypatch.setattr(projections, "dual_space", no_dual)
+        rep = theorem_predicates(Lp(F(2)), Weight.constant(1), n=4, budget=30, seed=0)
+        assert rep["inv_w_in_mult_dual"] == {"error": "UnsupportedDual"}
+
+        def faulty_dual(X):
+            raise ZeroDivisionError("numeric fault")
+
+        monkeypatch.setattr(projections, "dual_space", faulty_dual)
+        with pytest.raises(ZeroDivisionError):
+            theorem_predicates(Lp(F(2)), Weight.constant(1), n=4, budget=30, seed=0)
