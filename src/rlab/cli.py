@@ -247,12 +247,35 @@ def _parse_m(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def _printable(v: int) -> bool:
+    try:
+        str(v)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return False
+    return True
+
+
+def _plan_entry(v: int, exps: list[int]) -> int | str:
+    """v = sum of 2^e over the increasing exps as a JSON integer, or, past the
+    int-to-str digit limit, as the exact string "2^e_top+...+rest"."""
+    if _printable(v):
+        return v
+    terms = []
+    for e in reversed(exps):
+        terms.append(f"2^{e}")
+        v -= 1 << e
+        if _printable(v):
+            break
+    return "+".join(terms + ([str(v)] if v else []))
+
+
 def _cmd_cex_plan(args) -> int:
     pl = cex.plan(_parse_m(args.m), strict=not args.relaxed)
     cfg = ExperimentConfig("cex-plan", args.seed, args.precision, {"m": args.m, "strict": not args.relaxed})
     rep = Report("cex-plan", cfg.to_dict())
-    rep.add("n", list(pl.n), method="exact")
-    rep.add("N", list(pl.N), method="exact")
+    ms = list(pl.m_list)
+    rep.add("n", [_plan_entry(v, [m]) for v, m in zip(pl.n, ms)], method="exact")
+    rep.add("N", [_plan_entry(v, ms[: k + 1]) for k, v in enumerate(pl.N)], method="exact")
     rep.add("condition_ok", pl.condition_ok, method="exact")
     _emit(rep, args)
     return 0

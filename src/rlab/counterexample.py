@@ -2,9 +2,12 @@
 an equimeasurable g with diverging block lower bounds.
 
 Explicit tier: materialize the blocks for relaxed plans within the level cap.
-Certificate tier: exact integer/rational verification of the closed-form
-bound chains, with eighth-root comparisons done by cross-raising to integer
-powers (no irrational intermediates)."""
+Certificate tier: exact verification of the closed-form bound chains in
+exponent form. With n_k = 2^(m_k), every eighth power in the chain is a
+dyadic odd * 2^e built from m_k and N_(k-1), so eighth-root comparisons
+compare exponents and shift, and no 2^(m_k)-sized integer is converted or
+reduced. The high-precision values beside them build n_k and 2^(-n_k) as
+exact mpfs with ldexp (no irrational intermediates in any verdict)."""
 
 from __future__ import annotations
 
@@ -40,8 +43,8 @@ class CounterexamplePlan:
         return 2.0**nk * nk**-1.25
 
     def alpha_mpf(self, k: int) -> mpmath.mpf:
-        nk = self.n[k - 1]
-        return mpmath.power(2, nk) * mpmath.power(nk, mpmath.mpf(-5) / 4)
+        nk, mk = self.n[k - 1], self.m_list[k - 1]
+        return mpmath.ldexp(mpmath.power(mpmath.ldexp(1, mk), mpmath.mpf(-5) / 4), nk)
 
 
 def plan(m_list, strict: bool = True) -> CounterexamplePlan:
@@ -64,11 +67,16 @@ def plan(m_list, strict: bool = True) -> CounterexamplePlan:
     return CounterexamplePlan(ms, strict, ns, tuple(Ns), ok)
 
 
+def _alpha_exponent4(nk: int, mk: int) -> int:
+    """4 log2(alpha_k) = 4 n_k - 5 m_k, as alpha_k = 2^(n_k) n_k^(-5/4)."""
+    return 4 * nk - 5 * mk
+
+
 def _alpha_exact_or_float(nk: int, mk: int) -> Fraction:
     """Exact 2**(n_k - 5 m_k / 4) when the exponent is an integer, else the
     exactly-representable float approximation (heights only need to match
     between the two blocks, which this guarantees)."""
-    num = 4 * nk - 5 * mk
+    num = _alpha_exponent4(nk, mk)
     if num % 4 == 0:
         e = num // 4
         return Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
@@ -127,6 +135,11 @@ def _check_tail_dominated(n: int, prefix_N: int) -> bool:
     return N <= n * 2**prefix_N
 
 
+def _bound_B_log2(n: int) -> int:
+    """log2(n 2^-n) = m - n for n = 2^m, the dyadic factor of bound_B."""
+    return n.bit_length() - 1 - n
+
+
 def bound_B(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
     """Certified upper bound 2 sqrt(2) n 2^-n for the Hadamard block's
     multiplicator norm, after exact verification of the simplification chain."""
@@ -137,7 +150,15 @@ def bound_B(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
     if not _check_tail_dominated(n, prefix_N):
         raise GrowthConditionViolated(f"tail term not dominated for n={n}, prefix={prefix_N}")
     with mpmath.workprec(precision):
-        return 2 * mpmath.sqrt(2) * n * mpmath.power(2, -n)
+        return mpmath.ldexp(2 * mpmath.sqrt(2), _bound_B_log2(n))
+
+
+def _exact_mpf(n: int) -> mpmath.mpf:
+    """n as an exact mpf in linear time. mpmath's pure-Python conversion
+    strips trailing zero bits eight at a time, quadratic for n = 2^m; here
+    they go into the exponent first."""
+    e = (n & -n).bit_length() - 1
+    return mpmath.ldexp(n >> e, e)
 
 
 def bound_D(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
@@ -148,33 +169,48 @@ def bound_D(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
     # sqrt(n) - 2/sqrt(n) >= sqrt(n)/2  <=>  n >= 4, exact
     assert n >= 4
     with mpmath.workprec(precision):
-        root = mpmath.sqrt(n)
-        return (root - 2 / root) * n * mpmath.power(2, -(prefix_N + n))
+        n_mpf = _exact_mpf(n)
+        root = mpmath.sqrt(n_mpf)
+        return mpmath.ldexp((root - 2 / root) * n_mpf, -(prefix_N + n))
 
 
-def _gterm_eighth_powers(nk: int, prefix_N: int) -> tuple[Fraction, Fraction]:
-    """Exact 8th powers of alpha_k * bound_D and of n_k^(1/8) / 2.
-
-    alpha_k bound_D = (n^(1/2) - 2 n^(-1/2)) n^(-1/4) 2^(-prefix); its square
-    is (n - 4 + 4/n) n^(-1/2) 4^(-prefix), so the 8th power is rational."""
-    base = Fraction(nk) - 4 + Fraction(4, nk)
-    lhs8 = base**4 / Fraction(nk**2) / Fraction(2 ** (8 * prefix_N))
-    rhs8 = Fraction(nk, 2**8)
-    return lhs8, rhs8
+# A positive dyadic odd * 2^e is the pair (odd, e); with an odd mantissa the
+# pair is the reduced fraction, so equal values have equal pairs.
 
 
-def _fterm_eighth_power(nk: int) -> Fraction:
-    """(alpha_k * bound_B)^8 = (2 sqrt(2) n_k^(-1/4))^8 = 2^12 / n_k^2, exact."""
-    return Fraction(2**12, nk**2)
+def _dyadic_cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Sign of a - b for positive dyadics: by the position of the leading
+    bit, then by one shift to the smaller exponent."""
+    (am, ae), (bm, be) = a, b
+    lead_a, lead_b = am.bit_length() + ae, bm.bit_length() + be
+    if lead_a != lead_b:
+        return 1 if lead_a > lead_b else -1
+    e = min(ae, be)
+    x, y = am << (ae - e), bm << (be - e)
+    return (x > y) - (x < y)
 
 
-def _fraction_repr(fr: Fraction) -> str:
-    """Exact p/q string when printable; high-precision decimal otherwise
+def _gterm_eighth_powers(mk: int, prefix_N: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Exact 8th powers of alpha_k * bound_D and of n_k^(1/8) / 2, n_k = 2^mk >= 4.
+
+    alpha_k bound_D = (n^(1/2) - 2 n^(-1/2)) n^(-1/4) 2^(-prefix), so its 8th
+    power is (n - 2)^8 n^(-6) 2^(-8 prefix) = (2^(mk-1) - 1)^8 2^(8 - 6 mk - 8 prefix),
+    and (2^(mk-1) - 1)^8 is odd. The binomial expansion builds it by shifts
+    in linear time."""
+    a = mk - 1
+    odd = sum((-1) ** i * math.comb(8, i) << (a * (8 - i)) for i in range(9))
+    return (odd, 8 - 6 * mk - 8 * prefix_N), (1, mk - 8)
+
+
+def _fraction_repr(man: int, exp: int) -> str:
+    """man 2^exp (man odd) as the exact p/q when both have fewer than 4000
+    bits; otherwise rounded once to 80 bits and printed to 20 digits
     (plan-scale eighth powers overflow the int-to-str digit limit)."""
-    if fr.numerator.bit_length() < 4000 and fr.denominator.bit_length() < 4000:
-        return str(fr)
+    if man.bit_length() + max(exp, 0) < 4000 and 1 - min(exp, 0) < 4000:
+        return str(man << exp) if exp >= 0 else f"{man}/{1 << -exp}"
     with mpmath.workprec(80):
-        return mpmath.nstr(mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator), 20)
+        # the odd mantissa rounds to nearest at 80 bits with no zero stripping
+        return mpmath.nstr(mpmath.mpf((man, exp)), 20)
 
 
 def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
@@ -187,30 +223,34 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
     checks: list[dict] = []
     f_terms: list[mpmath.mpf] = []
     g_terms: list[mpmath.mpf | None] = []
+    g_eighths: list[tuple[int, tuple[int, int]]] = []
     ok = True
     with mpmath.workprec(precision):
         majorant_factor = 2 * mpmath.sqrt(2)
         for k in range(1, K + 1):
-            nk = pl.n[k - 1]
+            mk, nk = pl.m_list[k - 1], pl.n[k - 1]
             prefix = pl.N[k - 2] if k >= 2 else 0
+            n_mpf = mpmath.ldexp(1, mk)
+            alpha = pl.alpha_mpf(k)
 
             bB = bound_B(nk, prefix, precision)  # raises if the chain breaks
-            f_term = pl.alpha_mpf(k) * bB
+            f_term = alpha * bB
             f_terms.append(f_term)
-            # alpha_k bound_B == 2 sqrt(2) n_k^(-1/4): exact via 8th powers
-            lhs8 = _fterm_eighth_power(nk)
-            rhs8 = Fraction(2**12, nk**2)
-            holds = lhs8 <= rhs8
+            # (alpha_k bound_B)^8 from the factors' exponents, against the
+            # majorant (2 sqrt(2) n_k^(-1/4))^8 = 2^(12 - 2 m_k)
+            lhs8 = (1, 2 * _alpha_exponent4(nk, mk) + 12 + 8 * _bound_B_log2(nk))
+            rhs8 = (1, 12 - 2 * mk)
+            holds = _dyadic_cmp(lhs8, rhs8) <= 0
             ok &= holds
             checks.append(
                 {
                     "name": f"f_term_le_majorant[k={k}]",
-                    "lhs8": _fraction_repr(lhs8),
-                    "rhs8": _fraction_repr(rhs8),
+                    "lhs8": _fraction_repr(*lhs8),
+                    "rhs8": _fraction_repr(*rhs8),
                     "relation": "<=",
-                    "holds": bool(holds),
+                    "holds": holds,
                     "lhs": mpmath.nstr(f_term, 20),
-                    "rhs": mpmath.nstr(majorant_factor * mpmath.power(nk, mpmath.mpf(-1) / 4), 20),
+                    "rhs": mpmath.nstr(majorant_factor * mpmath.power(n_mpf, mpmath.mpf(-1) / 4), 20),
                     "method": "exact",
                 }
             )
@@ -228,36 +268,37 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
                 continue
 
             bD = bound_D(nk, prefix, precision)
-            g_term = pl.alpha_mpf(k) * bD
+            g_term = alpha * bD
             g_terms.append(g_term)
-            lhs8, rhs8 = _gterm_eighth_powers(nk, prefix)
-            holds = lhs8 >= rhs8
+            lhs8, rhs8 = _gterm_eighth_powers(mk, prefix)
+            g_eighths.append((k, lhs8))
+            holds = _dyadic_cmp(lhs8, rhs8) >= 0
             ok &= holds
             checks.append(
                 {
                     "name": f"g_term_ge_half_eighth_root[k={k}]",
-                    "lhs8": _fraction_repr(lhs8),
-                    "rhs8": _fraction_repr(rhs8),
+                    "lhs8": _fraction_repr(*lhs8),
+                    "rhs8": _fraction_repr(*rhs8),
                     "relation": ">=",
-                    "holds": bool(holds),
+                    "holds": holds,
                     "lhs": mpmath.nstr(g_term, 20),
-                    "rhs": mpmath.nstr(mpmath.power(nk, mpmath.mpf(1) / 8) / 2, 20),
+                    "rhs": mpmath.nstr(mpmath.power(n_mpf, mpmath.mpf(1) / 8) / 2, 20),
                     "method": "exact",
                 }
             )
 
-        real_g = [(idx + 1, g) for idx, g in enumerate(g_terms) if g is not None]
-        for (k0, g0), (k1, g1) in zip(real_g, real_g[1:]):
-            holds = g1 > g0
+        # g_k0 < g_k1 compared as exact eighth powers
+        for (k0, g0_8), (k1, g1_8) in zip(g_eighths, g_eighths[1:]):
+            holds = _dyadic_cmp(g1_8, g0_8) > 0
             ok &= holds
             checks.append(
                 {
                     "name": f"g_terms_increasing[{k0}->{k1}]",
-                    "holds": bool(holds),
-                    "lhs": mpmath.nstr(g0, 20),
-                    "rhs": mpmath.nstr(g1, 20),
+                    "holds": holds,
+                    "lhs": mpmath.nstr(g_terms[k0 - 1], 20),
+                    "rhs": mpmath.nstr(g_terms[k1 - 1], 20),
                     "relation": "<",
-                    "method": "high-precision",
+                    "method": "exact",
                 }
             )
 
@@ -304,7 +345,7 @@ def sym_integral_trend_plan(pl: CounterexamplePlan, K: int, precision: int = 128
         raw = []
         pos = mpmath.mpf(0)
         for k in range(K, 0, -1):
-            width = pl.n[k - 1] * mpmath.power(2, -pl.N[k - 1])
+            width = mpmath.ldexp(1, pl.m_list[k - 1] - pl.N[k - 1])
             contrib = pl.alpha_mpf(k) * (cumulative(pos + width) - cumulative(pos))
             pos += width
             contributions[k] = mpmath.nstr(contrib, 20)

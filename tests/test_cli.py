@@ -184,6 +184,27 @@ class TestCex:
         assert code == 3
 
 
+    def test_certify_majorant_mutation_exit_3(self, capsys, monkeypatch):
+        # an alpha_k exponent one quarter too large breaks the f-term majorant
+        from rlab import counterexample as cex_mod
+
+        real = cex_mod._alpha_exponent4
+        monkeypatch.setattr(cex_mod, "_alpha_exponent4", lambda nk, mk: real(nk, mk) + 1)
+        code, doc = run_json(capsys, "cex", "certify", "--m", "1,16", "--blocks", "2")
+        assert code == 3
+        recs = records(doc)
+        assert recs["verdict"]["value"] == "FAIL"
+        assert recs["f_term_le_majorant[k=2]"]["value"]["holds"] is False
+
+    def test_plan_at_plan_scale(self, capsys):
+        code, doc = run_json(capsys, "cex", "plan", "--m", "1,16,524304")
+        assert code == 0
+        recs = records(doc)
+        assert recs["n"]["value"] == [2, 65536, "2^524304"]
+        assert recs["N"]["value"] == [2, 65538, "2^524304+65538"]
+        assert recs["condition_ok"]["value"] is True
+
+
 class TestOutputModes:
     def test_out_file_and_csv(self, capsys, tmp_path):
         path = tmp_path / "r.csv"

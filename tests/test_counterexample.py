@@ -2,6 +2,8 @@
 certificates for the closed-form bound chains."""
 
 import math
+import random
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -160,15 +162,128 @@ class TestCertify:
 
     def test_three_block_plan(self):
         # m_3 >= 8 N_2 = 8 * (2 + 65536 + 2^16) ... use the minimal chain
+        start = time.perf_counter()
         pl = cex.plan([1, 16, 8 * (2 + 65536)])
         res = cex.certify(pl, 3)
+        elapsed = time.perf_counter() - start
         assert res["verdict"] == "PASS"
+        assert all(c["holds"] for c in res["checks"])
         gs = [mpmath.mpf(v) for v in res["g_lower_terms"] if v is not None]
         assert gs[0] < gs[1]
+        inc = [c for c in res["checks"] if c["name"] == "g_terms_increasing[2->3]"]
+        assert inc and inc[0]["holds"] and inc[0]["method"] == "exact"
+        assert elapsed < 2.0, f"elapsed={elapsed:.2f}s"
+
+    @pytest.mark.parametrize("name", ["_alpha_exponent4", "_bound_B_log2"])
+    def test_majorant_check_fails_when_a_factor_is_off(self, monkeypatch, name):
+        real = getattr(cex, name)
+        monkeypatch.setattr(cex, name, lambda *a: real(*a) + 1)
+        res = cex.certify(cex.plan([1, 16]), 2)
+        assert res["verdict"] == "FAIL"
+        f_checks = [c for c in res["checks"] if c["name"].startswith("f_term_le_majorant")]
+        assert len(f_checks) == 2 and not any(c["holds"] for c in f_checks)
+        assert all(F(c["lhs8"]) > F(c["rhs8"]) for c in f_checks)
 
     def test_precision_parameter_reported(self):
         res = cex.certify(cex.plan([1, 16]), 2, precision=256)
         assert res["precision"] == 256
+
+
+def _strict_chains(top):
+    """Every strictly increasing m-chain within 0..top with m_k >= 8 N_(k-1)."""
+    chains, stack = [], [[m] for m in range(top + 1)]
+    while stack:
+        ms = stack.pop()
+        chains.append(ms)
+        prefix = sum(2**m for m in ms)
+        stack.extend(ms + [m] for m in range(max(ms[-1] + 1, 8 * prefix), top + 1))
+    return chains
+
+
+def _dyadic(man, exp):
+    return F(man) * F(2) ** exp
+
+
+def _old_repr(fr):
+    """The p/q or 80-bit rounded quotient printing of a reduced fraction."""
+    if fr.numerator.bit_length() < 4000 and fr.denominator.bit_length() < 4000:
+        return str(fr)
+    with mpmath.workprec(80):
+        return mpmath.nstr(mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator), 20)
+
+
+class TestExponentForm:
+    """The certificate's dyadic eighth powers against the rational formulas
+    (n - 4 + 4/n)^4 / n^2 / 2^(8p), n / 2^8 and 2^12 / n^2."""
+
+    def test_chains_enumerated(self):
+        chains = _strict_chains(12)
+        assert len(chains) == 13 + 5  # [m] for m <= 12, [0, m] for 8 <= m <= 12
+        assert [0, 8] in chains and [1, 16] in _strict_chains(16)
+
+    @pytest.mark.parametrize("ms", _strict_chains(12), ids=str)
+    def test_eighth_powers_match_rational_formulas(self, ms):
+        res = cex.certify(cex.plan(ms), len(ms))
+        checks = {c["name"]: c for c in res["checks"]}
+        ok = True
+        g8 = []
+        for k, m in enumerate(ms, start=1):
+            n, p = 2**m, sum(2**j for j in ms[: k - 1])
+            f_check = checks[f"f_term_le_majorant[k={k}]"]
+            f8 = F(2**12, n**2)
+            assert (F(f_check["lhs8"]), F(f_check["rhs8"])) == (f8, f8)
+            assert f_check["holds"] is True
+            g_check = checks[f"g_term_ge_half_eighth_root[k={k}]"]
+            if n < 4:
+                assert g_check["skipped"]
+                continue
+            lhs8 = (F(n) - 4 + F(4, n)) ** 4 / n**2 / F(2) ** (8 * p)
+            rhs8 = F(n, 2**8)
+            assert (F(g_check["lhs8"]), F(g_check["rhs8"])) == (lhs8, rhs8)
+            assert (g_check["lhs8"], g_check["rhs8"]) == (str(lhs8), str(rhs8))
+            assert g_check["holds"] is (lhs8 >= rhs8)
+            assert _dyadic(*cex._gterm_eighth_powers(m, p)[0]) == lhs8
+            ok &= lhs8 >= rhs8
+            g8.append((k, lhs8))
+        for (k0, a), (k1, b) in zip(g8, g8[1:]):
+            assert checks[f"g_terms_increasing[{k0}->{k1}]"]["holds"] is (b > a)
+            ok &= b > a
+        assert res["verdict"] == ("PASS" if ok else "FAIL")
+
+    def test_increasing_check_can_fail(self):
+        # a forged plan that skips the growth condition: g_3 < g_2
+        pl = cex.CounterexamplePlan((0, 8, 9), True, (1, 256, 512), (1, 257, 769), True)
+        res = cex.certify(pl, 3)
+        checks = {c["name"]: c for c in res["checks"]}
+        assert checks["g_terms_increasing[2->3]"]["holds"] is False
+        assert mpmath.mpf(res["g_lower_terms"][2]) < mpmath.mpf(res["g_lower_terms"][1])
+        assert res["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize(
+        "man, exp",
+        [(1, -3998), (1, -3999), (1, -4000), (1, 3998), (1, 3999), (3, 3998), (1, 12 - 2 * 2006)]
+        + [((2 ** (m - 1) - 1) ** 8, 8 - 6 * m - 8) for m in (500, 501, 667, 668, 669)]
+        + [(1, m - 8) for m in (4006, 4007, 4008)],
+    )
+    def test_printing_matches_rounded_quotient(self, man, exp):
+        assert cex._fraction_repr(man, exp) == _old_repr(_dyadic(man, exp))
+
+    def test_printing_random_odd_mantissas_past_threshold(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            man = rng.getrandbits(rng.randint(3900, 4100)) | 1
+            exp = rng.randint(-4200, 200)
+            assert cex._fraction_repr(man, exp) == _old_repr(_dyadic(man, exp)), (man, exp)
+
+    def test_dyadic_cmp_matches_fractions(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            a = (rng.getrandbits(rng.randint(1, 90)) | 1, rng.randint(-60, 60))
+            b = (rng.getrandbits(rng.randint(1, 90)) | 1, rng.randint(-60, 60))
+            if rng.random() < 0.2:  # equal values
+                b = a
+            x, y = _dyadic(*a), _dyadic(*b)
+            assert cex._dyadic_cmp(a, b) == (x > y) - (x < y)
 
 
 class TestSymIntegralTrend:
