@@ -64,7 +64,10 @@ def _canonical_runs(runs: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fr
     for length, value in runs:
         if length == 0:
             continue
-        if out and out[-1][1] == value:
+        # Fractions are normalised: equal exactly when both parts are, and
+        # comparing them directly skips Fraction.__eq__'s isinstance checks
+        if out and ((last := out[-1][1]).denominator == value.denominator
+                    and last.numerator == value.numerator):
             out[-1] = (out[-1][0] + length, value)
         else:
             out.append((length, value))

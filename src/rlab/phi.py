@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class PhiFn:
     """Positive function on (0,1] with phi(0+) = 0, increasing, phi(t)/t decreasing."""
@@ -173,6 +175,11 @@ class OrliczFn:
     def __call__(self, u: float) -> float:
         raise NotImplementedError
 
+    def array(self, u: np.ndarray) -> np.ndarray:
+        """M elementwise on a float64 array, by numpy: equal to __call__ up
+        to the last bits of pow/expm1; overflow gives inf, not an error."""
+        raise NotImplementedError
+
     def inverse(self, v: float) -> float:
         raise NotImplementedError
 
@@ -204,6 +211,9 @@ class PowerOrlicz(OrliczFn):
     def __call__(self, u: float) -> float:
         return float(u) ** self.p
 
+    def array(self, u: np.ndarray) -> np.ndarray:
+        return u**self.p
+
     def inverse(self, v: float) -> float:
         return float(v) ** (1.0 / self.p)
 
@@ -224,6 +234,9 @@ class ExpPowerOrlicz(OrliczFn):
 
     def __call__(self, u: float) -> float:
         return math.expm1(float(u) ** self.p)
+
+    def array(self, u: np.ndarray) -> np.ndarray:
+        return np.expm1(u**self.p)
 
     def inverse(self, v: float) -> float:
         return math.log1p(float(v)) ** (1.0 / self.p)

@@ -301,21 +301,44 @@ def _projection_test_functions(n: int, trials: int, seed) -> list[StepFunction]:
     return fns
 
 
-def projection_norm(X: SpaceSpec, w: Weight, n: int, trials: int = 50, seed=0) -> float:
-    """Certified lower bound on ||P_n||_{X(w) -> X(w)} from test functions."""
+def projection_norm(
+    X: SpaceSpec, w: Weight, n: int, trials: int = 50, seed=0,
+    norms: dict[tuple[int, int], list[tuple[StepFunction, float]]] | None = None,
+) -> float:
+    """Certified lower bound on ||P_n||_{X(w) -> X(w)} from test functions.
+
+    `norms` memoises ||g||_X(w) for this X and w, so a function that recurs
+    is evaluated once: P_n r_k = r_k for k <= n.  It is bucketed by level
+    and run count, because hashing every Fraction of a function costs more
+    than comparing it with the few others of the same shape.
+    """
+    norms = {} if norms is None else norms
+
+    def weighted(g: StepFunction) -> float:
+        bucket = norms.setdefault((g.level, len(g.runs)), [])
+        for h, value in bucket:
+            if h == g:
+                return value
+        value = weighted_norm(X, w, g)
+        bucket.append((g, value))
+        return value
+
     best = 0.0
     for f in _projection_test_functions(n, trials, seed):
-        denom = weighted_norm(X, w, f)
+        denom = weighted(f)
         if denom == 0.0:
             continue
-        best = max(best, weighted_norm(X, w, project(f, n)) / denom)
+        best = max(best, weighted(project(f, n)) / denom)
     return best
 
 
 def projection_norm_profile(
     X: SpaceSpec, w: Weight, ns: Sequence[int] = (2, 4, 8, 16), trials: int = 50, seed=0
 ) -> list[tuple[int, float]]:
-    return [(n, projection_norm(X, w, n, trials, seed)) for n in ns]
+    """projection_norm for each n; r_1..r_n, 1 and chi_[0,1/2] recur for
+    every n, so one memo of weighted norms serves the whole profile."""
+    norms: dict[tuple[int, int], list[tuple[StepFunction, float]]] = {}
+    return [(n, projection_norm(X, w, n, trials, seed, norms)) for n in ns]
 
 
 def theorem_predicates(X: SpaceSpec, w: Weight, n: int = 8, budget: int = 80, seed=0) -> dict:

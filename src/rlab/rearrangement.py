@@ -61,7 +61,7 @@ def decreasing_rearrangement(f: StepFunction) -> StepFunction:
 
 def _magnitude(run: tuple[int, Fraction]) -> tuple[float, Fraction]:
     try:
-        return float(run[1]), run[1]
+        return run[1].numerator / run[1].denominator, run[1]
     except OverflowError:  # past every float, the exact value alone orders
         return math.inf, run[1]
 
