@@ -2,7 +2,6 @@
 weighted-space predicates, and certified block counterexample construction."""
 
 from .dyadic import (
-    SignMatrix,
     StepFunction,
     chi_prefix,
     hadamard_select,
@@ -11,7 +10,6 @@ from .dyadic import (
     make_step,
     rademacher,
     rademacher_sum,
-    sign_matrix,
     single_negative_select,
 )
 from .phi import (
@@ -19,8 +17,6 @@ from .phi import (
     LogPowerPhi,
     PowerOrlicz,
     PowerPhi,
-    ProductPhi,
-    TabulatedConcave,
     TildePhi,
 )
 from .rearrangement import (
@@ -40,14 +36,11 @@ from .spaces import (
     contains_loghalf,
     delta2_check,
     dilation_indices,
-    dual_space,
-    fundamental,
     norm,
     parse_space,
-    psi_from_phi,
-    sym_kernel_norm,
+    sym_kernel_report,
 )
-from .weighted import Weight, admissible, holder_check, parse_weight, weighted_norm
+from .weighted import Weight, holder_check, parse_weight, weighted_norm
 from .projections import (
     CoeffSeq,
     NormBracket,
@@ -58,7 +51,6 @@ from .projections import (
     project,
     projection_norm,
     theorem_predicates,
-    weighted_project,
 )
 from . import counterexample
 from .reports import Report, compare_reports

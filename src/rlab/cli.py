@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,33 +24,19 @@ from .projections import (
     theorem_predicates,
 )
 from .reports import Report, compare_reports
-from .spaces import (
-    delta2_check,
-    dilation_indices,
-    dual_space,
-    norm,
-    parse_space,
-    _parse_phi,
-)
+from .spaces import _parse_phi, delta2_check, dilation_indices, norm, parse_space
 from .weighted import parse_weight
 
 
-@dataclass
-class ExperimentConfig:
-    """Round-trippable run configuration; seed is mandatory for random runs."""
-
-    experiment: str
-    seed: int
-    precision: int
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "precision": self.precision,
-            "params": self.params,
-        }
+def _report(experiment: str, args, params: dict) -> Report:
+    """An empty report whose config records the run: the seed, which every
+    random run needs to replay, the precision and the parameters."""
+    return Report(experiment, {
+        "experiment": experiment,
+        "seed": args.seed,
+        "precision": args.precision,
+        "params": params,
+    })
 
 
 def _load_fn(args) -> StepFunction:
@@ -83,8 +68,7 @@ def _emit(report: Report, args) -> None:
 def _cmd_norm(args) -> int:
     X = parse_space(args.space)
     f = _load_fn(args)
-    cfg = ExperimentConfig("norm", args.seed, args.precision, {"space": args.space})
-    rep = Report("norm", cfg.to_dict())
+    rep = _report("norm", args, {"space": args.space})
     rep.add("norm", norm(X, f), method="exact" if X.family == "lp" else "evaluator")
     rep.add("dual_space", _safe_dual_label(X), method="exact")
     _emit(rep, args)
@@ -93,7 +77,7 @@ def _cmd_norm(args) -> int:
 
 def _safe_dual_label(X) -> str:
     try:
-        return dual_space(X).label
+        return X.dual().label
     except RlabError:
         return "unsupported"
 
@@ -103,8 +87,7 @@ def _cmd_rearrange(args) -> int:
 
     f = _load_fn(args)
     star = decreasing_rearrangement(f)
-    cfg = ExperimentConfig("rearrange", args.seed, args.precision, {})
-    rep = Report("rearrange", cfg.to_dict())
+    rep = _report("rearrange", args, {})
     rep.add("rearrangement", star.to_json_dict(), method="exact")
     rep.add(
         "distribution",
@@ -117,10 +100,7 @@ def _cmd_rearrange(args) -> int:
 
 def _cmd_khintchine(args) -> int:
     rng = np.random.default_rng(args.seed)
-    cfg = ExperimentConfig(
-        "khintchine", args.seed, args.precision, {"n": args.n, "trials": args.trials}
-    )
-    rep = Report("khintchine", cfg.to_dict())
+    rep = _report("khintchine", args, {"n": args.n, "trials": args.trials})
     failures = 0
     for t in range(args.trials):
         n = int(rng.integers(1, args.n + 1))
@@ -145,8 +125,7 @@ def _cmd_khintchine(args) -> int:
 def _cmd_coeffs(args) -> int:
     f = _load_fn(args)
     cs = coefficients(f, args.n)
-    cfg = ExperimentConfig("coeffs", args.seed, args.precision, {"n": args.n})
-    rep = Report("coeffs", cfg.to_dict())
+    rep = _report("coeffs", args, {"n": args.n})
     rep.add("coefficients", [str(c) for c in cs.a], method="exact")
     _emit(rep, args)
     return 0
@@ -155,8 +134,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_project(args) -> int:
     f = _load_fn(args)
     pf = project(f, args.n)
-    cfg = ExperimentConfig("project", args.seed, args.precision, {"n": args.n})
-    rep = Report("project", cfg.to_dict())
+    rep = _report("project", args, {"n": args.n})
     rep.add("projection", pf.to_json_dict(), method="exact")
     _emit(rep, args)
     return 0
@@ -166,13 +144,8 @@ def _cmd_equiv(args) -> int:
     X = parse_space(args.space)
     w = parse_weight(args.weight)
     res = equivalence_constants(X, w, args.n, args.trials, args.seed)
-    cfg = ExperimentConfig(
-        "equiv",
-        args.seed,
-        args.precision,
-        {"space": args.space, "weight": args.weight, "n": args.n, "trials": args.trials},
-    )
-    rep = Report("equiv", cfg.to_dict())
+    params = {"space": args.space, "weight": args.weight, "n": args.n, "trials": args.trials}
+    rep = _report("equiv", args, params)
     rep.add("cLow", res["cLow"], method="evaluator")
     rep.add("cHigh", res["cHigh"], method="evaluator")
     _emit(rep, args)
@@ -183,13 +156,7 @@ def _cmd_multiplicator(args) -> int:
     X = parse_space(args.space)
     f = _load_fn(args)
     bracket = multiplicator_norm(X, f, args.n, args.budget, args.seed)
-    cfg = ExperimentConfig(
-        "multiplicator",
-        args.seed,
-        args.precision,
-        {"space": args.space, "n": args.n, "budget": args.budget},
-    )
-    rep = Report("multiplicator", cfg.to_dict())
+    rep = _report("multiplicator", args, {"space": args.space, "n": args.n, "budget": args.budget})
     rep.add("lower", bracket.lower, method="optimizer-lower")
     rep.add("upper", bracket.upper, method=bracket.method)
     _emit(rep, args)
@@ -201,13 +168,9 @@ def _cmd_projnorm(args) -> int:
     w = parse_weight(args.weight)
     ns = [int(v) for v in args.n_list.split(",")]
     profile = projection_norm_profile(X, w, ns, args.trials, args.seed)
-    cfg = ExperimentConfig(
-        "projnorm",
-        args.seed,
-        args.precision,
-        {"space": args.space, "weight": args.weight, "n_list": args.n_list, "trials": args.trials},
-    )
-    rep = Report("projnorm", cfg.to_dict())
+    rep = _report("projnorm", args, {
+        "space": args.space, "weight": args.weight, "n_list": args.n_list, "trials": args.trials,
+    })
     for n, val in profile:
         rep.add(f"lower_bound[n={n}]", val, method="optimizer-lower")
     _emit(rep, args)
@@ -218,10 +181,7 @@ def _cmd_theorems(args) -> int:
     X = parse_space(args.space)
     w = parse_weight(args.weight)
     res = theorem_predicates(X, w, seed=args.seed)
-    cfg = ExperimentConfig(
-        "theorems", args.seed, args.precision, {"space": args.space, "weight": args.weight}
-    )
-    rep = Report("theorems", cfg.to_dict())
+    rep = _report("theorems", args, {"space": args.space, "weight": args.weight})
     for key, value in res.items():
         if key in ("space", "weight"):
             continue
@@ -234,8 +194,7 @@ def _cmd_indices(args) -> int:
     phi = _parse_phi(args.phi.split(":"))
     gamma, delta = dilation_indices(phi)
     d2 = delta2_check(phi)
-    cfg = ExperimentConfig("indices", args.seed, args.precision, {"phi": args.phi})
-    rep = Report("indices", cfg.to_dict())
+    rep = _report("indices", args, {"phi": args.phi})
     rep.add("gamma", gamma, method="grid-estimate", tolerance=0.02)
     rep.add("delta", delta, method="grid-estimate", tolerance=0.02)
     rep.add("delta2", d2, method="trend")
@@ -271,8 +230,7 @@ def _plan_entry(v: int, exps: list[int]) -> int | str:
 
 def _cmd_cex_plan(args) -> int:
     pl = cex.plan(_parse_m(args.m), strict=not args.relaxed)
-    cfg = ExperimentConfig("cex-plan", args.seed, args.precision, {"m": args.m, "strict": not args.relaxed})
-    rep = Report("cex-plan", cfg.to_dict())
+    rep = _report("cex-plan", args, {"m": args.m, "strict": not args.relaxed})
     ms = list(pl.m_list)
     rep.add("n", [_plan_entry(v, [m]) for v, m in zip(pl.n, ms)], method="exact")
     rep.add("N", [_plan_entry(v, ms[: k + 1]) for k, v in enumerate(pl.N)], method="exact")
@@ -284,10 +242,7 @@ def _cmd_cex_plan(args) -> int:
 def _cmd_cex_build(args) -> int:
     pl = cex.plan(_parse_m(args.m), strict=not args.relaxed)
     built = cex.build_explicit(pl, args.blocks)
-    cfg = ExperimentConfig(
-        "cex-build", args.seed, args.precision, {"m": args.m, "blocks": args.blocks}
-    )
-    rep = Report("cex-build", cfg.to_dict())
+    rep = _report("cex-build", args, {"m": args.m, "blocks": args.blocks})
     rep.add("f", built["f"].to_json_dict(), method="exact")
     rep.add("g", built["g"].to_json_dict(), method="exact")
     rep.add("B", built["B"], method="exact")
@@ -302,10 +257,7 @@ def _cmd_cex_build(args) -> int:
 def _cmd_cex_certify(args) -> int:
     pl = cex.plan(_parse_m(args.m), strict=True)
     res = cex.certify(pl, args.blocks, precision=args.precision)
-    cfg = ExperimentConfig(
-        "cex-certify", args.seed, args.precision, {"m": args.m, "blocks": args.blocks}
-    )
-    rep = Report("cex-certify", cfg.to_dict())
+    rep = _report("cex-certify", args, {"m": args.m, "blocks": args.blocks})
     rep.add("verdict", res["verdict"], method="exact")
     rep.add("f_upper_series", res["f_upper_series"], method="exact")
     rep.add("g_lower_terms", res["g_lower_terms"], method="exact")
@@ -321,8 +273,7 @@ def _cmd_compare(args) -> int:
     with open(args.b) as fh:
         rep_b = Report.from_json(fh.read())
     diff = compare_reports(rep_a, rep_b)
-    cfg = ExperimentConfig("compare", args.seed, args.precision, {"a": args.a, "b": args.b})
-    rep = Report("compare", cfg.to_dict())
+    rep = _report("compare", args, {"a": args.a, "b": args.b})
     rep.add("diff", diff, method="exact")
     _emit(rep, args)
     return 0
@@ -401,13 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = cex_sub.add_parser("plan")
     q.add_argument("--m", required=True)
     q.add_argument("--relaxed", action="store_true")
-    q.add_argument("--strict", action="store_true")
     q.set_defaults(func=_cmd_cex_plan)
 
     q = cex_sub.add_parser("build")
     q.add_argument("--m", required=True)
     q.add_argument("--relaxed", action="store_true")
-    q.add_argument("--strict", action="store_true")
     q.add_argument("--blocks", type=int, required=True)
     q.set_defaults(func=_cmd_cex_build)
 

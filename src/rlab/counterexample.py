@@ -26,7 +26,6 @@ from .dyadic import (
 )
 from .errors import BlockTooSmall, GrowthConditionViolated, LevelCapExceeded, NotPowerOfTwo
 from .rearrangement import equimeasurable
-from .spaces import _star_cells, loghalf_cumulative
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,6 @@ class CounterexamplePlan:
     n: tuple[int, ...]  # n_k = 2**m_k
     N: tuple[int, ...]  # partial sums n_1 + ... + n_k
     condition_ok: bool  # growth condition n_k^(1/8) >= 2^(N_{k-1})
-
-    def alpha_float(self, k: int) -> float:
-        """alpha_k = 2**n_k * n_k**(-5/4); float, for explicit small builds."""
-        nk = self.n[k - 1]
-        return 2.0**nk * nk**-1.25
 
     def alpha_mpf(self, k: int) -> mpmath.mpf:
         nk, mk = self.n[k - 1], self.m_list[k - 1]
@@ -318,42 +312,3 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
         "precision": precision,
     }
 
-
-def sym_integral_trend_function(f: StepFunction) -> float:
-    """integral of f*(t) log^(1/2)(e/t) dt for an explicit step function."""
-    total = 0.0
-    for a, b, v in _star_cells(f):
-        total += v * (loghalf_cumulative(b) - loghalf_cumulative(a))
-    return total
-
-
-def sym_integral_trend_plan(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
-    """Per-block contributions to integral f* log^(1/2)(e/t) dt at plan scale.
-
-    Blocks enter the rearrangement in order of decreasing height, i.e.
-    k = K down to 1; windows and integrals are evaluated in high precision."""
-    with mpmath.workprec(precision):
-        e = mpmath.e
-
-        def cumulative(T):
-            if T <= 0:
-                return mpmath.mpf(0)
-            x = 1 - mpmath.log(T)
-            return e * mpmath.gammainc(mpmath.mpf(3) / 2, a=x)
-
-        contributions: dict[int, str] = {}
-        raw = []
-        pos = mpmath.mpf(0)
-        for k in range(K, 0, -1):
-            width = mpmath.ldexp(1, pl.m_list[k - 1] - pl.N[k - 1])
-            contrib = pl.alpha_mpf(k) * (cumulative(pos + width) - cumulative(pos))
-            pos += width
-            contributions[k] = mpmath.nstr(contrib, 20)
-            raw.append((k, contrib))
-        raw.sort()
-        partial = mpmath.mpf(0)
-        partials = []
-        for _, c in raw:
-            partial += c
-            partials.append(mpmath.nstr(partial, 20))
-    return {"contributions": contributions, "partial_sums": partials}

@@ -477,15 +477,11 @@ def chi_prefix(t: Fraction, level: int | None = None) -> StepFunction:
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-def rademacher(k: int, level: int | None = None) -> StepFunction:
+def rademacher(k: int) -> StepFunction:
     """Rademacher function r_k = sign(sin 2^k pi t), constant on rank-k cells."""
     if k < 1:
         raise LevelTooLow(f"k must be >= 1, got {k}")
-    if level is None:
-        level = k
-    if level < k:
-        raise LevelTooLow(f"level {level} < k = {k}")
-    _check_level(level)
+    _check_level(k)
     f = StepFunction(k, ((1, _ONE), (1, _MINUS_ONE)) * 2 ** (k - 1))
     signs = np.tile(np.array([1, -1], dtype=np.int64), 2 ** (k - 1))
     return _attach(f, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
@@ -511,38 +507,14 @@ def rademacher_sum(a: Sequence) -> StepFunction:
     return StepFunction.from_runs(n, ((1, v) for v in vals))
 
 
-SIGN_MATRIX_MAX_N = 16
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    """Values of r_1..r_n on the 2**n rank-n dyadic intervals."""
-
-    n: int
-    entries: np.ndarray  # shape (n, 2**n), entries +-1, int8
-    selection: tuple[int, ...] | None = None  # 1-based column indices
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.entries[:, j - 1])
-
-    def select(self, js: Iterable[int]) -> "SignMatrix":
-        return SignMatrix(self.n, self.entries, tuple(sorted(js)))
-
-    def selected_block(self) -> np.ndarray:
-        if self.selection is None:
-            return self.entries
-        return self.entries[:, [j - 1 for j in self.selection]]
-
-
-def sign_matrix(n: int) -> SignMatrix:
-    if n < 1 or n > SIGN_MATRIX_MAX_N:
-        raise TooLarge(f"n must be in 1..{SIGN_MATRIX_MAX_N}, got {n}")
-    cols = np.arange(2**n, dtype=np.int64)
-    entries = np.empty((n, 2**n), dtype=np.int8)
-    for i in range(1, n + 1):
-        bits = (cols >> (n - i)) & 1
-        entries[i - 1] = 1 - 2 * bits
-    return SignMatrix(n, entries)
+def signs_orthogonal(n: int, js: Sequence[int]) -> bool:
+    """Whether the signs of r_1..r_n on the rank-n cells js (1-based) form
+    columns with Gram matrix n*I.  The sign of r_i on cell j is
+    1 - 2 * (bit n-i of j-1)."""
+    cols = np.asarray(js, dtype=np.int64) - 1
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
+    block = 1 - 2 * ((cols >> shifts) & 1)
+    return bool(np.array_equal(block.T @ block, n * np.eye(len(js), dtype=np.int64)))
 
 
 def _sylvester(n: int) -> np.ndarray:
@@ -574,10 +546,8 @@ def hadamard_select(n: int) -> tuple[int, ...]:
     """
     h = _sylvester(n)
     js = sorted(pattern_to_index(h[:, c]) for c in range(n))
-    if n <= SIGN_MATRIX_MAX_N:
-        block = sign_matrix(n).select(js).selected_block().astype(np.int64)
-        gram = block.T @ block
-        assert np.array_equal(gram, n * np.eye(n, dtype=np.int64))
+    if n <= 16:
+        assert signs_orthogonal(n, js)
     return tuple(js)
 
 

@@ -45,19 +45,11 @@ class TooManyCoefficients(RlabError):
     pass
 
 
-class QuadratureFailure(RlabError):
-    pass
-
-
 class GrowthConditionViolated(RlabError):
     pass
 
 
 class BlockTooSmall(RlabError):
-    pass
-
-
-class DivergentNorm(RlabError):
     pass
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +15,6 @@ class PhiFn:
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
-
-    def derivative(self, t: float) -> float | None:
-        return None
 
     def tilde(self) -> "PhiFn":
         """The dual-generating function t / phi(t)."""
@@ -51,10 +48,6 @@ class PowerPhi(PhiFn):
         t = float(t)
         return 0.0 if t <= 0 else t**self.alpha
 
-    def derivative(self, t: float) -> float:
-        t = float(t)
-        return self.alpha * t ** (self.alpha - 1)
-
 
 @dataclass(frozen=True)
 class LogPowerPhi(PhiFn):
@@ -77,29 +70,6 @@ class LogPowerPhi(PhiFn):
             return 0.0
         return self.c * math.log(math.e / t) ** (-self.beta)
 
-    def derivative(self, t: float) -> float:
-        t = float(t)
-        return self.c * self.beta * math.log(math.e / t) ** (-self.beta - 1) / t
-
-
-@dataclass(frozen=True)
-class ProductPhi(PhiFn):
-    left: PhiFn
-    right: PhiFn
-
-    @property
-    def label(self) -> str:
-        return f"({self.left.label})*({self.right.label})"
-
-    def __call__(self, t: float) -> float:
-        return self.left(t) * self.right(t)
-
-    def derivative(self, t: float) -> float | None:
-        dl, dr = self.left.derivative(t), self.right.derivative(t)
-        if dl is None or dr is None:
-            return None
-        return dl * self.right(t) + self.left(t) * dr
-
 
 @dataclass(frozen=True)
 class TildePhi(PhiFn):
@@ -117,54 +87,6 @@ class TildePhi(PhiFn):
             return 0.0
         b = self.base(t)
         return t / b if b > 0 else 0.0
-
-    def derivative(self, t: float) -> float | None:
-        db = self.base.derivative(t)
-        if db is None:
-            return None
-        b = self.base(t)
-        if b == 0:
-            return None
-        return (b - float(t) * db) / b**2
-
-
-@dataclass(frozen=True)
-class TabulatedConcave(PhiFn):
-    """Piecewise-linear interpolation through (t_i, y_i), prepended with (0,0)."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = tuple(sorted((float(t), float(y)) for t, y in self.points))
-        if not pts or pts[0][0] <= 0:
-            raise ValueError("breakpoints must have positive abscissae")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def label(self) -> str:
-        return f"tab[{len(self.points)}]"
-
-    def _segment(self, t: float) -> tuple[float, float, float, float]:
-        lo = (0.0, 0.0)
-        for pt in self.points:
-            if pt[0] >= t:
-                return (*lo, *pt)
-            lo = pt
-        # extend linearly past the last segment
-        if len(self.points) >= 2:
-            return (*self.points[-2], *self.points[-1])
-        return (0.0, 0.0, *self.points[-1])
-
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        if t <= 0:
-            return 0.0
-        x0, y0, x1, y1 = self._segment(t)
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-
-    def derivative(self, t: float) -> float:
-        x0, y0, x1, y1 = self._segment(float(t))
-        return (y1 - y0) / (x1 - x0)
 
 
 class OrliczFn:

@@ -13,21 +13,13 @@ import numpy as np
 from .dyadic import (
     StepFunction,
     _rademacher_cells,
-    hadamard_select,
     level_cap,
     rademacher,
     rademacher_sum,
-    sign_matrix,
+    signs_orthogonal,
 )
 from .errors import LevelCapExceeded, TooManyCoefficients, UnsupportedDual
-from .spaces import (
-    Lp,
-    SpaceSpec,
-    contains_loghalf,
-    dual_space,
-    norm,
-    sym_kernel_report,
-)
+from .spaces import ExpLp, Linfty, Lp, SpaceSpec, contains_loghalf, norm, sym_kernel_report
 from .weighted import Weight, weighted_norm
 
 KHINTCHINE_MAX_N = 20
@@ -56,7 +48,16 @@ class CoeffSeq:
 
 @dataclass(frozen=True)
 class NormBracket:
-    """Certified [lower, upper] interval for a norm estimate."""
+    """[lower, upper] interval for a norm estimate; `method` says how each
+    end was found.
+
+    `lower` is an optimiser lower bound: the best ratio that the witnesses
+    and the seeded ascent reached.  `upper` is certified only for the
+    `exact` and `exact-chain` methods; a `sym-upper` upper end is the
+    symmetric-kernel norm, a measured equivalence, not a certified bound.
+    An upper end below `lower` is raised to it and its method is marked
+    `(inflated-to-lower)`.
+    """
 
     lower: float
     upper: float
@@ -83,12 +84,6 @@ def project(f: StepFunction, n: int) -> StepFunction:
     while m and cs[m - 1] == 0:
         m -= 1
     return rademacher_sum(cs[:m])
-
-
-def weighted_project(f: StepFunction, w: Weight, n: int) -> StepFunction:
-    """P_w f = sum_k (integral f r_k / w) r_k w; equals w * P_n(f / w)."""
-    coeffs = coefficients(f * w.reciprocal_fn(), n)
-    return rademacher_sum(coeffs.a) * w.fn
 
 
 def rademacher_sum_l1_exact(a: Sequence) -> Fraction:
@@ -195,10 +190,7 @@ def _indicator_profile(f: StepFunction, n: int):
 
 
 def _hadamard_orthogonal(n: int, js: list[int]) -> bool:
-    if len(js) != n or n > 16:
-        return False
-    block = sign_matrix(n).select(js).selected_block().astype(np.int64)
-    return bool(np.array_equal(block.T @ block, n * np.eye(n, dtype=np.int64)))
+    return len(js) == n and n <= 16 and signs_orthogonal(n, js)
 
 
 def multiplicator_norm(
@@ -347,8 +339,6 @@ def theorem_predicates(X: SpaceSpec, w: Weight, n: int = 8, budget: int = 80, se
     The G-embedding proxy is membership of log^(1/2)(e/t); symmetric-kernel
     membership is a truncation-trend certificate; none of these is a proof.
     """
-    from .spaces import ExpLp, Linfty
-
     g_subset = contains_loghalf(X)
     report: dict = {
         "space": X.label,
@@ -377,7 +367,7 @@ def theorem_predicates(X: SpaceSpec, w: Weight, n: int = 8, budget: int = 80, se
         "method": bracket.method,
     }
     try:
-        dual = dual_space(X)
+        dual = X.dual()
         dual_bracket = multiplicator_norm(dual, w.reciprocal_fn(), n, budget, seed)
         report["inv_w_in_mult_dual"] = {
             "lower": dual_bracket.lower,

@@ -9,23 +9,16 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .dyadic import StepFunction, chi_prefix
-from .errors import InvalidSpec, QuadratureFailure, UnsupportedDual
-from .phi import (
-    ExpPowerOrlicz,
-    LogPowerPhi,
-    OrliczFn,
-    PhiFn,
-    PowerOrlicz,
-    PowerPhi,
-    TabulatedConcave,
-)
+from .dyadic import StepFunction
+from .errors import InvalidSpec, UnsupportedDual
+from .phi import ExpPowerOrlicz, LogPowerPhi, OrliczFn, PhiFn, PowerOrlicz, PowerPhi
 from .rearrangement import decreasing_rearrangement
 
 GOLDEN_TOL = 1e-9
@@ -78,6 +71,28 @@ def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
     return cells
 
 
+def _loghalf(t: float) -> float:
+    return math.sqrt(math.log(math.e / t))
+
+
+def _stieltjes_weighted(v_cells, phi: PhiFn, cutoff: float) -> float:
+    """Sum_i v_i * integral over cell of log^(1/2)(e/t) d phi(t), truncated
+    below at `cutoff`, by geometric-grid Stieltjes sums."""
+    total = 0.0
+    for a, b, v in v_cells:
+        lo = max(a, cutoff)
+        if lo >= b:
+            continue
+        # geometric refinement toward the left edge
+        ts = np.geomspace(lo, b, num=max(8, int(24 * math.log2(b / lo) + 8)))
+        phis = [phi(float(t)) for t in ts]
+        mids = [math.sqrt(t0 * t1) for t0, t1 in zip(ts, ts[1:])]
+        total += v * math.fsum(
+            _loghalf(m) * (p1 - p0) for m, p0, p1 in zip(mids, phis, phis[1:])
+        )
+    return total
+
+
 class SpaceSpec:
     family = "abstract"
 
@@ -85,6 +100,20 @@ class SpaceSpec:
         raise NotImplementedError
 
     def fundamental(self, t) -> float:
+        raise NotImplementedError
+
+    def dual(self) -> "SpaceSpec":
+        """Koethe dual within the implemented families."""
+        raise UnsupportedDual(f"no dual formula for {self.label}")
+
+    def contains_loghalf(self) -> bool:
+        """Membership of log^(1/2)(e/t) in the space (truncation trend where
+        no closed form decides)."""
+        raise NotImplementedError
+
+    def sym_kernel(self, cells: list[tuple[float, float, float]]) -> dict:
+        """Norm of f*(t) log^(1/2)(e/t), f* given by its nonzero `cells`
+        (see _star_cells), with its truncation trend."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -129,6 +158,20 @@ class Lp(SpaceSpec):
     def fundamental(self, t) -> float:
         return float(t) ** (1.0 / float(self.p))
 
+    def dual(self) -> SpaceSpec:
+        return Linfty() if self.p == 1 else Lp(self.p / (self.p - 1))
+
+    def contains_loghalf(self) -> bool:
+        return True
+
+    def sym_kernel(self, cells) -> dict:
+        p = float(self.p)
+        total = math.fsum(
+            v**p * (logpow_cumulative(p / 2.0, b) - logpow_cumulative(p / 2.0, a))
+            for a, b, v in cells
+        )
+        return {"value": total ** (1.0 / p), "diverging": False, "trend": []}
+
 
 @dataclass(frozen=True)
 class Linfty(SpaceSpec):
@@ -139,6 +182,15 @@ class Linfty(SpaceSpec):
 
     def fundamental(self, t) -> float:
         return 1.0 if float(t) > 0 else 0.0
+
+    def dual(self) -> SpaceSpec:
+        return Lp(Fraction(1))
+
+    def contains_loghalf(self) -> bool:
+        return False
+
+    def sym_kernel(self, cells) -> dict:
+        return {"value": math.inf, "diverging": True, "trend": []}
 
 
 @dataclass(frozen=True)
@@ -162,6 +214,35 @@ class Lorentz(SpaceSpec):
 
     def fundamental(self, t) -> float:
         return self.phi(float(t))
+
+    def dual(self) -> SpaceSpec:
+        return Marcinkiewicz(self.phi.tilde())
+
+    def contains_loghalf(self) -> bool:
+        partials = []
+        for jmax in (16, 32, 64, 128, 256):
+            total = 0.0
+            prev_phi = self.phi(1.0)
+            acc = 0.0
+            for j in range(1, jmax + 1):
+                t_hi = 2.0 ** -(j - 1)
+                t_lo = 2.0**-j
+                acc += _loghalf(t_hi) * (prev_phi - self.phi(t_lo))
+                prev_phi = self.phi(t_lo)
+            partials.append(acc)
+        diverging, _ = divergence_trend(partials)
+        return not diverging
+
+    def sym_kernel(self, cells) -> dict:
+        partials = [
+            _stieltjes_weighted(cells, self.phi, 2.0**-j) for j in (16, 32, 64, 128, 256)
+        ]
+        diverging, _ = divergence_trend(partials)
+        return {
+            "value": math.inf if diverging else partials[-1],
+            "diverging": diverging,
+            "trend": partials,
+        }
 
 
 @dataclass(frozen=True)
@@ -215,6 +296,51 @@ class Marcinkiewicz(SpaceSpec):
     def fundamental(self, t) -> float:
         return self.phi(float(t))
 
+    def dual(self) -> SpaceSpec:
+        return Lorentz(self.phi.tilde())
+
+    def contains_loghalf(self) -> bool:
+        sups = []
+        for jmax in (16, 32, 64, 128, 256):
+            best = 0.0
+            for j in range(0, jmax + 1):
+                t = 2.0**-j
+                best = max(best, self.phi(t) / t * loghalf_cumulative(t))
+            sups.append(best)
+        diverging, _ = divergence_trend(sups)
+        return not diverging
+
+    def sym_kernel(self, cells) -> dict:
+        # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
+        # from prefix sums added in the direct sum's left-to-right order
+        L = loghalf_cumulative
+        starts = [a for a, _, _ in cells]
+        prefix = [0.0]
+        for a, b, v in cells:
+            prefix.append(prefix[-1] + v * (L(b) - L(a)))
+
+        def H(t: float) -> float:
+            k = bisect.bisect_left(starts, t)
+            if k == 0:
+                return 0.0
+            a, b, v = cells[k - 1]
+            return prefix[k] if t >= b else prefix[k - 1] + v * (L(t) - L(a))
+
+        def objective(t: float) -> float:
+            return self.phi(t) / t * H(t)
+
+        # each candidate is evaluated once; a truncation's candidates are a
+        # prefix of the dyadic grid, then the cell ends
+        grid = [objective(2.0**-j) for j in range(0, 257)]
+        edges = [objective(b) for _, b, _ in cells]
+        sups = [max(grid[: jmax + 1] + edges) for jmax in (16, 32, 64, 128, 256)]
+        diverging, _ = divergence_trend(sups)
+        return {
+            "value": math.inf if diverging else sups[-1],
+            "diverging": diverging,
+            "trend": sups,
+        }
+
 
 @dataclass(frozen=True)
 class OrliczSpace(SpaceSpec):
@@ -260,14 +386,20 @@ class OrliczSpace(SpaceSpec):
             return modular(lam) <= 1.0
 
         hi = top / self.M.inverse(1.0)
+        if hi == math.inf:
+            # top / M^-1(1) overflows: search down from the largest float
+            hi = sys.float_info.max
+            if not feasible(hi):
+                raise OverflowError(f"{self.label} norm exceeds the float range")
         lo = hi
         while feasible(lo):
             lo /= 2.0
             if lo < 1e-300:
                 return 0.0
-        # bisection on the monotone feasibility boundary
+        # bisection on the monotone feasibility boundary; halving each end
+        # first cannot overflow, and with lo >= 1e-300 it rounds as (lo+hi)/2
         while (hi - lo) / hi > ORLICZ_TOL:
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
             if feasible(mid):
                 hi = mid
             else:
@@ -280,6 +412,30 @@ class OrliczSpace(SpaceSpec):
             return 0.0
         return 1.0 / self.M.inverse(1.0 / t)
 
+    def _proxy(self) -> SpaceSpec:
+        """The family that shares this space's dual and kernel formulas: L_p
+        for u^p, Exp L^p for exp(u^p) - 1, at p to a 10**6 denominator."""
+        p = Fraction(self.M.p).limit_denominator(10**6)
+        if isinstance(self.M, PowerOrlicz):
+            return Lp(p)
+        if isinstance(self.M, ExpPowerOrlicz):
+            return ExpLp(p)
+        raise InvalidSpec(f"unknown Orlicz form {self.M!r}")
+
+    def dual(self) -> SpaceSpec:
+        if isinstance(self.M, PowerOrlicz):
+            return self._proxy().dual()
+        return super().dual()
+
+    def contains_loghalf(self) -> bool:
+        # the exponential form compares the float p, not _proxy's rounded one
+        if isinstance(self.M, ExpPowerOrlicz):
+            return self.M.p <= 2.0
+        return self._proxy().contains_loghalf()
+
+    def sym_kernel(self, cells) -> dict:
+        return self._proxy().sym_kernel(cells)
+
 
 @dataclass(frozen=True)
 class ExpLp(SpaceSpec):
@@ -287,7 +443,7 @@ class ExpLp(SpaceSpec):
 
     The sup form sup x*(t) log^(-1/p)(e/t) is an equivalent norm; reports
     carry the "equivalent-norm convention" tag.  The Luxemburg form through
-    exp(u^p)-1 is available as luxemburg_norm.
+    exp(u^p)-1 is OrliczSpace(ExpPowerOrlicz(p)).
     """
 
     p: Fraction
@@ -314,11 +470,25 @@ class ExpLp(SpaceSpec):
             best = max(best, v * phi(b))
         return best
 
-    def luxemburg_norm(self, f: StepFunction) -> float:
-        return OrliczSpace(ExpPowerOrlicz(float(self.p))).norm(f)
-
     def fundamental(self, t) -> float:
         return self.phi_p()(float(t))
+
+    def dual(self) -> SpaceSpec:
+        # Exp L^p coincides with M(phi_p); dual through that identification
+        return Lorentz(self.phi_p().tilde())
+
+    def contains_loghalf(self) -> bool:
+        return float(self.p) <= 2.0
+
+    def sym_kernel(self, cells) -> dict:
+        e0 = 0.5 - 1.0 / float(self.p)
+        if e0 > 0 and cells[0][0] == 0.0:
+            return {"value": math.inf, "diverging": True, "trend": []}
+        best = 0.0
+        for a, b, v in cells:
+            t = b if e0 <= 0 else max(a, 1e-300)
+            best = max(best, v * math.log(math.e / t) ** e0)
+        return {"value": best, "diverging": False, "trend": []}
 
 
 def _golden_max(g, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
@@ -348,30 +518,6 @@ def norm(X: SpaceSpec, f: StepFunction) -> float:
     if not isinstance(X, SpaceSpec):
         raise InvalidSpec(f"not a space spec: {X!r}")
     return X.norm(f)
-
-
-def fundamental(X: SpaceSpec, t) -> float:
-    return X.fundamental(t)
-
-
-def dual_space(X: SpaceSpec) -> SpaceSpec:
-    """Koethe dual within the implemented families."""
-    if isinstance(X, Lp):
-        if X.p == 1:
-            return Linfty()
-        return Lp(X.p / (X.p - 1))
-    if isinstance(X, Linfty):
-        return Lp(Fraction(1))
-    if isinstance(X, Lorentz):
-        return Marcinkiewicz(X.phi.tilde())
-    if isinstance(X, Marcinkiewicz):
-        return Lorentz(X.phi.tilde())
-    if isinstance(X, ExpLp):
-        # Exp L^p coincides with M(phi_p); dual through that identification
-        return Lorentz(X.phi_p().tilde())
-    if isinstance(X, OrliczSpace) and isinstance(X.M, PowerOrlicz):
-        return dual_space(Lp(Fraction(X.M.p).limit_denominator(10**6)))
-    raise UnsupportedDual(f"no dual formula for {X.label}")
 
 
 def dilation_indices(psi: PhiFn, j_lo: int = 40, j_hi: int = 80) -> tuple[float, float]:
@@ -423,68 +569,9 @@ def delta2_check(phi: PhiFn) -> dict:
     return {"holds": bool(holds), "C": s3, "sups": [s1, s2, s3]}
 
 
-def _loghalf(t: float) -> float:
-    return math.sqrt(math.log(math.e / t))
-
-
 def contains_loghalf(X: SpaceSpec) -> bool:
-    """Family-specific membership of log^(1/2)(e/t) in X (truncation trend
-    where no closed form decides)."""
-    if isinstance(X, Lp):
-        return True
-    if isinstance(X, Linfty):
-        return False
-    if isinstance(X, ExpLp):
-        return float(X.p) <= 2.0
-    if isinstance(X, OrliczSpace):
-        if isinstance(X.M, PowerOrlicz):
-            return True
-        if isinstance(X.M, ExpPowerOrlicz):
-            return X.M.p <= 2.0
-        raise InvalidSpec(f"unknown Orlicz form {X.M!r}")
-    if isinstance(X, Lorentz):
-        partials = []
-        for jmax in (16, 32, 64, 128, 256):
-            total = 0.0
-            prev_phi = X.phi(1.0)
-            acc = 0.0
-            for j in range(1, jmax + 1):
-                t_hi = 2.0 ** -(j - 1)
-                t_lo = 2.0**-j
-                acc += _loghalf(t_hi) * (prev_phi - X.phi(t_lo))
-                prev_phi = X.phi(t_lo)
-            partials.append(acc)
-        diverging, _ = divergence_trend(partials)
-        return not diverging
-    if isinstance(X, Marcinkiewicz):
-        sups = []
-        for jmax in (16, 32, 64, 128, 256):
-            best = 0.0
-            for j in range(0, jmax + 1):
-                t = 2.0**-j
-                best = max(best, X.phi(t) / t * loghalf_cumulative(t))
-            sups.append(best)
-        diverging, _ = divergence_trend(sups)
-        return not diverging
-    raise InvalidSpec(f"unknown family {X!r}")
-
-
-def _stieltjes_weighted(v_cells, phi: PhiFn, cutoff: float) -> float:
-    """Sum_i v_i * integral over cell of log^(1/2)(e/t) d phi(t), truncated
-    below at `cutoff`, by geometric-grid Stieltjes sums."""
-    total = 0.0
-    for a, b, v in v_cells:
-        lo = max(a, cutoff)
-        if lo >= b:
-            continue
-        # geometric refinement toward the left edge
-        ts = np.geomspace(lo, b, num=max(8, int(24 * math.log2(b / lo) + 8)))
-        phis = [phi(float(t)) for t in ts]
-        mids = [math.sqrt(t0 * t1) for t0, t1 in zip(ts, ts[1:])]
-        total += v * math.fsum(
-            _loghalf(m) * (p1 - p0) for m, p0, p1 in zip(mids, phis, phis[1:])
-        )
-    return total
+    """Family-specific membership of log^(1/2)(e/t) in X."""
+    return X.contains_loghalf()
 
 
 def sym_kernel_report(X: SpaceSpec, f: StepFunction) -> dict:
@@ -492,105 +579,7 @@ def sym_kernel_report(X: SpaceSpec, f: StepFunction) -> dict:
     cells = _star_cells(f)
     if not cells:
         return {"value": 0.0, "diverging": False, "trend": []}
-
-    if isinstance(X, OrliczSpace):
-        if isinstance(X.M, PowerOrlicz):
-            return sym_kernel_report(Lp(Fraction(X.M.p).limit_denominator(10**6)), f)
-        if isinstance(X.M, ExpPowerOrlicz):
-            return sym_kernel_report(ExpLp(Fraction(X.M.p).limit_denominator(10**6)), f)
-        raise InvalidSpec(f"unknown Orlicz form {X.M!r}")
-
-    if isinstance(X, Lp):
-        p = float(X.p)
-        total = math.fsum(
-            v**p * (logpow_cumulative(p / 2.0, b) - logpow_cumulative(p / 2.0, a))
-            for a, b, v in cells
-        )
-        return {"value": total ** (1.0 / p), "diverging": False, "trend": []}
-
-    if isinstance(X, Linfty):
-        return {"value": math.inf, "diverging": True, "trend": []}
-
-    if isinstance(X, ExpLp):
-        e0 = 0.5 - 1.0 / float(X.p)
-        if e0 > 0 and cells[0][0] == 0.0:
-            return {"value": math.inf, "diverging": True, "trend": []}
-        best = 0.0
-        for a, b, v in cells:
-            t = b if e0 <= 0 else max(a, 1e-300)
-            best = max(best, v * math.log(math.e / t) ** e0)
-        return {"value": best, "diverging": False, "trend": []}
-
-    if isinstance(X, Lorentz):
-        partials = [
-            _stieltjes_weighted(cells, X.phi, 2.0**-j) for j in (16, 32, 64, 128, 256)
-        ]
-        diverging, _ = divergence_trend(partials)
-        return {
-            "value": math.inf if diverging else partials[-1],
-            "diverging": diverging,
-            "trend": partials,
-        }
-
-    if isinstance(X, Marcinkiewicz):
-        # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
-        # from prefix sums added in the direct sum's left-to-right order
-        L = loghalf_cumulative
-        starts = [a for a, _, _ in cells]
-        prefix = [0.0]
-        for a, b, v in cells:
-            prefix.append(prefix[-1] + v * (L(b) - L(a)))
-
-        def H(t: float) -> float:
-            k = bisect.bisect_left(starts, t)
-            if k == 0:
-                return 0.0
-            a, b, v = cells[k - 1]
-            return prefix[k] if t >= b else prefix[k - 1] + v * (L(t) - L(a))
-
-        def objective(t: float) -> float:
-            return X.phi(t) / t * H(t)
-
-        # each candidate is evaluated once; a truncation's candidates are a
-        # prefix of the dyadic grid, then the cell ends
-        grid = [objective(2.0**-j) for j in range(0, 257)]
-        edges = [objective(b) for _, b, _ in cells]
-        sups = [max(grid[: jmax + 1] + edges) for jmax in (16, 32, 64, 128, 256)]
-        diverging, _ = divergence_trend(sups)
-        return {
-            "value": math.inf if diverging else sups[-1],
-            "diverging": diverging,
-            "trend": sups,
-        }
-
-    raise InvalidSpec(f"unknown family {X!r}")
-
-
-def sym_kernel_norm(X: SpaceSpec, f: StepFunction) -> float:
-    return sym_kernel_report(X, f)["value"]
-
-
-def psi_from_phi(phi: PhiFn, j_max: int = 60, rel_tol: float = 1e-8) -> TabulatedConcave:
-    """psi(t) = integral_0^t phi'(s) log^(1/2)(e/s) ds on a logarithmic grid."""
-    if phi.derivative(0.5) is None:
-        raise QuadratureFailure("phi has no usable derivative")
-
-    def integrand(s: float) -> float:
-        return phi.derivative(s) * _loghalf(s)
-
-    grid = [2.0**-j for j in range(j_max, -1, -1)]
-    points: list[tuple[float, float]] = []
-    acc, err_head = integrate.quad(integrand, 0.0, grid[0], limit=200)
-    total_err = err_head
-    points.append((grid[0], acc))
-    for lo, hi in zip(grid, grid[1:]):
-        piece, err = integrate.quad(integrand, lo, hi, limit=200)
-        acc += piece
-        total_err += err
-        points.append((hi, acc))
-    if acc > 0 and total_err / acc > rel_tol:
-        raise QuadratureFailure(f"relative error {total_err / acc:.2e} exceeds {rel_tol}")
-    return TabulatedConcave(tuple(points))
+    return X.sym_kernel(cells)
 
 
 _SQRT_ALIASES = {"sqrt": 0.5}
@@ -634,8 +623,3 @@ def parse_space(text: str) -> SpaceSpec:
         raise InvalidSpec(f"malformed space descriptor {text!r}") from exc
     raise InvalidSpec(f"unknown space family {family!r}")
 
-
-def fundamental_crosscheck(X: SpaceSpec, t: Fraction, level: int | None = None) -> tuple[float, float]:
-    """(closed form, direct norm of the indicator) for chi_[0,t]."""
-    chi = chi_prefix(Fraction(t), level)
-    return X.fundamental(t), X.norm(chi)

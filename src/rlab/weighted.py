@@ -1,14 +1,14 @@
-"""Weighted spaces X(w): norms, admissibility, Hoelder pairing."""
+"""Weighted spaces X(w): norms and the Hoelder pairing."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import StepFunction, level_cap, make_step
 from .errors import DivisionByZero, InvalidSpec, NonPositiveWeight
-from .spaces import SpaceSpec, dual_space, norm
+from .spaces import SpaceSpec, norm
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,10 @@ def weighted_norm(X: SpaceSpec, w: Weight, f: StepFunction) -> float:
     return norm(X, f * w.fn)
 
 
-def admissible(X: SpaceSpec, w: Weight) -> dict:
-    """Both halves of L_infty subset X(w) subset L_1: w in X and 1/w in X'."""
-    wx = norm(X, w.fn)
-    inv = norm(dual_space(X), w.reciprocal_fn())
-    ok = math.isfinite(wx) and math.isfinite(inv)
-    return {"ok": ok, "wX": wx, "invWXdual": inv}
-
-
 def holder_check(X: SpaceSpec, f: StepFunction, g: StepFunction) -> float:
     """integral |fg| / (||f||_X ||g||_X'); must stay <= 1 + 1e-9."""
     nf = norm(X, f)
-    ng = norm(dual_space(X), g)
+    ng = norm(X.dual(), g)
     if nf == 0 or ng == 0:
         raise DivisionByZero("zero norm in Hoelder ratio")
     pairing = float((abs(f) * abs(g)).integral())

@@ -18,7 +18,6 @@ from rlab.dyadic import (
     chi_prefix,
     hadamard_select,
     make_step,
-    sign_matrix,
     single_negative_select,
 )
 from rlab.projections import (
@@ -151,15 +150,20 @@ def test_criterion_4_projection_fixed_points_and_l2_norm(capsys):
     assert ok, f"elapsed={elapsed:.2f}s"
 
 
+def _column(n: int, j: int) -> list[int]:
+    """Signs of r_1..r_n on the 1-based rank-n cell j: r_i is -1 exactly
+    where bit n-i of j-1 is set."""
+    return [1 - 2 * (((j - 1) >> (n - i)) & 1) for i in range(1, n + 1)]
+
+
 def _restricted_l1_sq_vs_bound(n: int, js, b) -> tuple[F, F]:
     """((sum_j |sum_i eps_ij b_i|)^2, n^2 ||b||_2^2), both exact.
 
     The restricted L1 norm is 2^-n sum_j |c_j|; the bound n 2^-n ||b||_2.
     Comparing squares avoids the irrational square root."""
-    sm = sign_matrix(n)
     total = F(0)
     for j in js:
-        col = sm.column(j)
+        col = _column(n, j)
         total += abs(sum(s * v for s, v in zip(col, b)))
     return total * total, n * n * sum(v * v for v in b)
 
@@ -180,8 +184,7 @@ def test_criterion_5_block_inequalities(capsys):
         # sums to n-2, so the restricted L1 value is n (n-2) 2^-n exactly,
         # which equals (sqrt(n) - 2/sqrt(n)) n 2^-n times ||b||_2 = sqrt(n).
         ds = single_negative_select(n)
-        sm = sign_matrix(n)
-        witness = F(sum(abs(sum(sm.column(j))) for j in ds), 2**n)
+        witness = F(sum(abs(sum(_column(n, j))) for j in ds), 2**n)
         ok &= witness == F(n * (n - 2), 2**n)
         # normalized witness squared vs the closed form squared, exactly
         target_sq = F((n - 2) ** 2, n) * F(n, 2**n) ** 2

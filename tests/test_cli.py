@@ -1,11 +1,18 @@
 """Command-line front end: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rlab.cli import main
 from rlab.dyadic import make_step
+from rlab.phi import ExpPowerOrlicz, PowerOrlicz
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -21,6 +28,16 @@ def run_json(capsys, *argv):
 
 def records(doc):
     return {rec["name"]: rec for rec in doc["records"]}
+
+
+def run_child(*argv, timeout=10):
+    """rlab in a child process, so that a command that never returns fails
+    its test at `timeout` seconds instead of stalling the suite."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rlab.cli", *argv], capture_output=True, text=True,
+        timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestNorm:
@@ -67,6 +84,25 @@ class TestNorm:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("numeric failure:") and "Traceback" not in err
+
+    def test_orlicz_norm_past_float_range_exit_2(self):
+        # the modular at the largest float is already above 1
+        res = run_child("norm", "--space", "orlicz:exp:0.5", "--values", "1e308,1e308")
+        assert res.returncode == 2
+        assert res.stderr.startswith("numeric failure:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("space,M,values,mass", [
+        # top / M^-1(1) overflows, the norm does not
+        ("orlicz:exp:0.5", ExpPowerOrlicz(0.5), "1e308,0,0,0,0,0,0,0", 8),
+        # lo + hi of the bisection passes the float range
+        ("orlicz:pow:2", PowerOrlicz(2.0), "1e308,1e308", 1),
+    ])
+    def test_orlicz_norm_near_float_max(self, space, M, values, mass):
+        # v * chi_A has Luxemburg norm v / M^-1(1 / |A|)
+        res = run_child("norm", "--space", space, "--values", values)
+        assert res.returncode == 0, res.stderr
+        value = records(json.loads(res.stdout))["norm"]["value"]
+        assert value == pytest.approx(1e308 / M.inverse(mass), rel=1e-9)
 
     def test_malformed_level_cap_exit_1(self, capsys, monkeypatch):
         monkeypatch.setenv("RLAB_LEVEL_CAP", "abc")
@@ -158,6 +194,12 @@ class TestCex:
 
     def test_plan_rejects_bad_growth(self, capsys):
         code, _ = run(capsys, "cex", "plan", "--m", "1,2")
+        assert code == 1
+
+    @pytest.mark.parametrize("command", [["plan"], ["build", "--relaxed", "--blocks", "1"]])
+    def test_no_strict_flag(self, capsys, command):
+        # plans are strict unless --relaxed; there is no --strict option
+        code, _ = run(capsys, "cex", *command, "--m", "1,16", "--strict")
         assert code == 1
 
     def test_build_relaxed(self, capsys):

@@ -19,7 +19,7 @@ from rlab.errors import (
 )
 from rlab.projections import multiplicator_norm
 from rlab.rearrangement import equimeasurable
-from rlab.spaces import Lp
+from rlab.spaces import Lp, sym_kernel_report
 
 
 class TestPlan:
@@ -48,7 +48,7 @@ class TestPlan:
 
     def test_alpha_values(self):
         pl = cex.plan([2, 3], strict=False)
-        assert pl.alpha_float(1) == pytest.approx(2.0**4 * 4**-1.25)
+        assert float(pl.alpha_mpf(1)) == pytest.approx(2.0**4 * 4**-1.25)
         assert float(pl.alpha_mpf(2)) == pytest.approx(2.0**8 * 8**-1.25)
 
 
@@ -79,7 +79,7 @@ class TestBuildExplicit:
     def test_block_heights_match_alpha(self):
         pl = cex.plan([2], strict=False)
         built = cex.build_explicit(pl, 1)
-        assert float(built["f"].sup_abs()) == pytest.approx(pl.alpha_float(1))
+        assert float(built["f"].sup_abs()) == pytest.approx(float(pl.alpha_mpf(1)))
 
     def test_level_cap_guard(self):
         pl = cex.plan([3, 5], strict=False)  # N_2 = 40 cells level
@@ -287,11 +287,13 @@ class TestExponentForm:
 
 
 class TestSymIntegralTrend:
+    """The integral of f* log^(1/2)(e/t) is the L1 symmetric-kernel norm."""
+
     def test_explicit_single_block(self):
         from scipy import integrate
 
         built = cex.build_explicit(cex.plan([2], strict=False), 1)
-        got = cex.sym_integral_trend_function(built["f"])
+        got = sym_kernel_report(Lp(F(1)), built["f"])["value"]
         alpha = 2.0**4 * 4**-1.25
         oracle, _ = integrate.quad(
             lambda t: alpha * math.sqrt(math.log(math.e / t)), 0.0, 0.25
@@ -301,13 +303,4 @@ class TestSymIntegralTrend:
     def test_zero(self):
         from rlab.dyadic import StepFunction
 
-        assert cex.sym_integral_trend_function(StepFunction.zero()) == 0.0
-
-    def test_plan_scale_second_block_dominates(self):
-        pl = cex.plan([1, 16])
-        res = cex.sym_integral_trend_plan(pl, 2)
-        c1 = mpmath.mpf(res["contributions"][1])
-        c2 = mpmath.mpf(res["contributions"][2])
-        assert c2 > c1
-        partials = [mpmath.mpf(v) for v in res["partial_sums"]]
-        assert partials[-1] >= c2
+        assert sym_kernel_report(Lp(F(1)), StepFunction.zero())["value"] == 0.0

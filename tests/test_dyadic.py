@@ -1,5 +1,5 @@
 """Exact step-function plumbing: construction, canonical form, Rademacher
-functions, sign matrices, column selections, and serialization."""
+functions, their signs on dyadic cells, column selections, and serialization."""
 
 import os
 from fractions import Fraction as F
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlab.dyadic import (
-    SignMatrix,
     StepFunction,
     chi_prefix,
     hadamard_select,
@@ -20,7 +19,7 @@ from rlab.dyadic import (
     pattern_to_index,
     rademacher,
     rademacher_sum,
-    sign_matrix,
+    signs_orthogonal,
     single_negative_select,
 )
 from rlab.errors import (
@@ -29,7 +28,6 @@ from rlab.errors import (
     LevelCapExceeded,
     LevelTooLow,
     NotPowerOfTwo,
-    TooLarge,
 )
 
 rationals = st.fractions(
@@ -102,19 +100,19 @@ class TestConstruction:
 
 class TestRademacher:
     def test_r1(self):
-        assert rademacher(1, 2).values_at(2) == [F(1), F(1), F(-1), F(-1)]
+        assert rademacher(1).values_at(2) == [F(1), F(1), F(-1), F(-1)]
 
     def test_r2(self):
-        assert rademacher(2, 2).values() == [F(1), F(-1), F(1), F(-1)]
+        assert rademacher(2).values() == [F(1), F(-1), F(1), F(-1)]
 
     def test_r2_refined(self):
-        assert rademacher(2, 3).values_at(3) == [
+        assert rademacher(2).values_at(3) == [
             F(1), F(1), F(-1), F(-1), F(1), F(1), F(-1), F(-1),
         ]
 
     def test_level_too_low(self):
         with pytest.raises(LevelTooLow):
-            rademacher(3, 2)
+            rademacher(3).values_at(2)
         with pytest.raises(LevelTooLow):
             rademacher(0)
 
@@ -143,27 +141,30 @@ class TestRademacher:
         assert rademacher_sum(a) == total
 
 
-class TestSignMatrix:
-    def test_rows_match_rademacher(self):
-        sm = sign_matrix(2)
-        assert list(sm.entries[0]) == [1, 1, -1, -1]
-        assert list(sm.entries[1]) == [1, -1, 1, -1]
+def _sign(n: int, i: int, j: int) -> int:
+    """Sign of r_i on the 1-based rank-n cell j: bit n-i of j-1, as +-1."""
+    return 1 - 2 * (((j - 1) >> (n - i)) & 1)
 
-    def test_n1(self):
-        assert list(sign_matrix(1).entries[0]) == [1, -1]
 
-    def test_column_access(self):
-        assert sign_matrix(2).column(4) == (-1, -1)
+def _sign_block(n: int, js) -> np.ndarray:
+    return np.array([[_sign(n, i, j) for j in js] for i in range(1, n + 1)], dtype=np.int64)
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            sign_matrix(17)
 
+class TestSignBits:
     @given(st.integers(min_value=1, max_value=6))
     def test_rows_equal_sampled_rademacher(self, n):
-        sm = sign_matrix(n)
         for i in range(1, n + 1):
-            assert [F(int(v)) for v in sm.entries[i - 1]] == rademacher(i).values_at(n)
+            row = [F(_sign(n, i, j)) for j in range(1, 2**n + 1)]
+            assert row == rademacher(i).values_at(n)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_signs_orthogonal_matches_gram(self, n):
+        for js in (single_negative_select(n), range(1, n + 1)):
+            block = _sign_block(n, js)
+            gram_ok = np.array_equal(block.T @ block, n * np.eye(n, dtype=np.int64))
+            assert signs_orthogonal(n, js) == gram_ok
+        assert signs_orthogonal(n, hadamard_select(n))
+        assert not signs_orthogonal(n, [1] * n)  # a repeated cell
 
 
 class TestSelections:
@@ -179,14 +180,14 @@ class TestSelections:
     def test_hadamard_n2(self):
         js = hadamard_select(2)
         assert js == (1, 2)
-        block = sign_matrix(2).select(js).selected_block().astype(np.int64)
+        block = _sign_block(2, js)
         assert np.array_equal(block.T @ block, 2 * np.eye(2, dtype=np.int64))
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_hadamard_gram_identity(self, n):
         js = hadamard_select(n)
         assert len(js) == n
-        block = sign_matrix(n).select(js).selected_block().astype(np.int64)
+        block = _sign_block(n, js)
         assert np.array_equal(block.T @ block, n * np.eye(n, dtype=np.int64))
 
     def test_hadamard_not_power_of_two(self):
@@ -195,17 +196,15 @@ class TestSelections:
 
     def test_single_negative_n2(self):
         assert single_negative_select(2) == (2, 3)
-        sm = sign_matrix(2)
         for j in single_negative_select(2):
-            assert sum(sm.column(j)) == 0  # n - 2 = 0
+            assert _sign(2, 1, j) + _sign(2, 2, j) == 0  # n - 2 = 0
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_single_negative_properties(self, n):
         js = single_negative_select(n)
         assert len(js) == n
-        sm = sign_matrix(n)
         for j in js:
-            col = sm.column(j)
+            col = [_sign(n, i, j) for i in range(1, n + 1)]
             assert col.count(-1) == 1
             assert sum(col) == n - 2
 

@@ -4,15 +4,7 @@ import math
 
 import pytest
 
-from rlab.phi import (
-    ExpPowerOrlicz,
-    LogPowerPhi,
-    PowerOrlicz,
-    PowerPhi,
-    ProductPhi,
-    TabulatedConcave,
-    TildePhi,
-)
+from rlab.phi import ExpPowerOrlicz, LogPowerPhi, PowerOrlicz, PowerPhi
 
 
 class TestPhiForms:
@@ -36,33 +28,10 @@ class TestPhiForms:
         assert phi(math.exp(-3)) == pytest.approx(0.5)
         assert phi(0.0) == 0.0
 
-    def test_derivatives_match_finite_differences(self):
-        h = 1e-7
-        for phi in (PowerPhi(0.5), LogPowerPhi(0.5), TildePhi(PowerPhi(0.5))):
-            for t in (0.1, 0.3, 0.7):
-                fd = (phi(t + h) - phi(t - h)) / (2 * h)
-                assert phi.derivative(t) == pytest.approx(fd, rel=1e-5)
-
     def test_tilde_of_sqrt_is_sqrt(self):
         tilde = PowerPhi(0.5).tilde()
         for t in (0.1, 0.25, 0.9):
             assert tilde(t) == pytest.approx(math.sqrt(t))
-
-    def test_product(self):
-        phi = ProductPhi(PowerPhi(0.5), LogPowerPhi(0.5))
-        assert phi(0.25) == pytest.approx(0.5 * math.log(math.e / 0.25) ** -0.5)
-
-    def test_tabulated_interpolation_and_extension(self):
-        tab = TabulatedConcave(((0.5, 1.0), (1.0, 1.5)))
-        assert tab(0.25) == pytest.approx(0.5)  # linear from (0,0)
-        assert tab(0.75) == pytest.approx(1.25)
-        assert tab(1.2) == pytest.approx(1.7)  # linear extension
-        assert tab(0.0) == 0.0
-        assert tab.derivative(0.75) == pytest.approx(1.0)
-
-    def test_tabulated_rejects_nonpositive_abscissae(self):
-        with pytest.raises(ValueError):
-            TabulatedConcave(((0.0, 0.0), (1.0, 1.0)))
 
 
 class TestOrliczForms:

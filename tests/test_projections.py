@@ -32,7 +32,6 @@ from rlab.projections import (
     projection_norm_profile,
     rademacher_sum_l1_exact,
     theorem_predicates,
-    weighted_project,
 )
 from rlab.spaces import ExpLp, Lp, Marcinkiewicz
 from rlab.weighted import Weight
@@ -85,26 +84,6 @@ class TestProject:
     @given(step_functions, step_functions, st.integers(min_value=1, max_value=6))
     def test_self_adjoint(self, f, g, n):
         assert project(f, n).inner(g) == f.inner(project(g, n))
-
-
-class TestWeightedProject:
-    def test_unit_weight_coincides(self):
-        f = make_step(2, [3, 1, 2, 3])
-        assert weighted_project(f, Weight.constant(1), 2) == project(f, 2)
-
-    def test_fixed_subspace(self):
-        w = Weight(make_step(1, [1, 2]))
-        for k in (1, 2, 3):
-            rw = rademacher(k) * w.fn
-            assert weighted_project(rw, w, 3) == rw
-
-    @settings(deadline=None, max_examples=30)
-    @given(step_functions, st.integers(min_value=1, max_value=5))
-    def test_conjugation_identity(self, f, n):
-        w = Weight(make_step(1, [F(1, 2), 3]))
-        lhs = weighted_project(f, w, n)
-        rhs = project(f * w.reciprocal_fn(), n) * w.fn
-        assert lhs == rhs
 
 
 class TestKhintchine:
@@ -248,18 +227,16 @@ class TestTheoremPredicates:
         assert rep["explp_weight_membership"]["q"] == math.inf
 
     def test_only_a_missing_dual_becomes_a_note(self, monkeypatch):
-        import rlab.projections as projections
-
         def no_dual(X):
             raise UnsupportedDual(X.label)
 
-        monkeypatch.setattr(projections, "dual_space", no_dual)
+        monkeypatch.setattr(Lp, "dual", no_dual)
         rep = theorem_predicates(Lp(F(2)), Weight.constant(1), n=4, budget=30, seed=0)
         assert rep["inv_w_in_mult_dual"] == {"error": "UnsupportedDual"}
 
         def faulty_dual(X):
             raise ZeroDivisionError("numeric fault")
 
-        monkeypatch.setattr(projections, "dual_space", faulty_dual)
+        monkeypatch.setattr(Lp, "dual", faulty_dual)
         with pytest.raises(ZeroDivisionError):
             theorem_predicates(Lp(F(2)), Weight.constant(1), n=4, budget=30, seed=0)

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from rlab.dyadic import StepFunction, chi_prefix, make_step
 from rlab.errors import InvalidSpec, UnsupportedDual
-from rlab.phi import LogPowerPhi, PhiFn, PowerOrlicz, PowerPhi
+from rlab.phi import ExpPowerOrlicz, LogPowerPhi, PhiFn, PowerOrlicz, PowerPhi
 from rlab.rearrangement import decreasing_rearrangement
 from rlab.spaces import (
     ExpLp,
@@ -23,14 +23,10 @@ from rlab.spaces import (
     delta2_check,
     dilation_indices,
     divergence_trend,
-    dual_space,
-    fundamental,
-    fundamental_crosscheck,
     logpow_cumulative,
     norm,
     parse_space,
-    psi_from_phi,
-    sym_kernel_norm,
+    sym_kernel_report,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
@@ -86,17 +82,17 @@ class TestNormExamples:
 
 class TestFundamental:
     def test_l2_quarter(self):
-        assert fundamental(Lp(F(2)), F(1, 4)) == pytest.approx(0.5)
+        assert Lp(F(2)).fundamental(F(1, 4)) == pytest.approx(0.5)
 
     def test_lorentz_is_phi(self):
         phi = PowerPhi(0.5)
-        assert fundamental(Lorentz(phi), F(1, 8)) == pytest.approx(phi(0.125))
-        assert fundamental(Marcinkiewicz(phi), F(1, 8)) == pytest.approx(phi(0.125))
+        assert Lorentz(phi).fundamental(F(1, 8)) == pytest.approx(phi(0.125))
+        assert Marcinkiewicz(phi).fundamental(F(1, 8)) == pytest.approx(phi(0.125))
 
     def test_explp_is_log_power(self):
         t = 0.125
         expect = math.log(math.e / t) ** -0.5
-        assert fundamental(ExpLp(F(2)), F(1, 8)) == pytest.approx(expect)
+        assert ExpLp(F(2)).fundamental(F(1, 8)) == pytest.approx(expect)
 
     @pytest.mark.parametrize(
         "X",
@@ -104,35 +100,33 @@ class TestFundamental:
     )
     def test_crosscheck_against_indicator_norm(self, X):
         for j in range(1, 10):
-            closed, direct = fundamental_crosscheck(X, F(1, 2**j))
+            closed, direct = X.fundamental(F(1, 2**j)), X.norm(chi_prefix(F(1, 2**j)))
             assert direct == pytest.approx(closed, rel=1e-9)
 
 
 class TestDuality:
     def test_lorentz_dual_is_marcinkiewicz_tilde(self):
-        dual = dual_space(Lorentz(PowerPhi(0.5)))
+        dual = Lorentz(PowerPhi(0.5)).dual()
         assert isinstance(dual, Marcinkiewicz)
         # tilde of sqrt is sqrt again
         for t in (0.1, 0.5, 0.9):
             assert dual.phi(t) == pytest.approx(math.sqrt(t))
 
     def test_marcinkiewicz_dual_is_lorentz(self):
-        assert isinstance(dual_space(Marcinkiewicz(PowerPhi(0.5))), Lorentz)
+        assert isinstance(Marcinkiewicz(PowerPhi(0.5)).dual(), Lorentz)
 
     def test_lp_self_and_extremes(self):
-        assert dual_space(Lp(F(2))) == Lp(F(2))
-        assert isinstance(dual_space(Lp(F(1))), Linfty)
-        assert dual_space(Linfty()) == Lp(F(1))
-        assert dual_space(Lp(F(3))) == Lp(F(3, 2))
+        assert Lp(F(2)).dual() == Lp(F(2))
+        assert isinstance(Lp(F(1)).dual(), Linfty)
+        assert Linfty().dual() == Lp(F(1))
+        assert Lp(F(3)).dual() == Lp(F(3, 2))
 
     def test_explp_dual_via_marcinkiewicz_form(self):
-        assert isinstance(dual_space(ExpLp(F(2))), Lorentz)
+        assert isinstance(ExpLp(F(2)).dual(), Lorentz)
 
     def test_unsupported(self):
-        from rlab.phi import ExpPowerOrlicz
-
         with pytest.raises(UnsupportedDual):
-            dual_space(OrliczSpace(ExpPowerOrlicz(2.0)))
+            OrliczSpace(ExpPowerOrlicz(2.0)).dual()
 
 
 class TestIndices:
@@ -193,23 +187,69 @@ class TestSymKernel:
             lambda t: math.sqrt(math.log(math.e / t)), 0.0, 1.0
         )
         assert err < 1e-8
-        got = sym_kernel_norm(Lp(F(1)), StepFunction.constant(1))
+        got = sym_kernel_report(Lp(F(1)), StepFunction.constant(1))["value"]
         assert got == pytest.approx(oracle, abs=1e-6)
 
     def test_zero(self):
-        assert sym_kernel_norm(Lp(F(1)), StepFunction.zero()) == 0.0
+        assert sym_kernel_report(Lp(F(1)), StepFunction.zero())["value"] == 0.0
 
     def test_monotone_in_support(self):
         vals = [
-            sym_kernel_norm(Lp(F(1)), chi_prefix(F(1, 2**j))) for j in range(5, 0, -1)
+            sym_kernel_report(Lp(F(1)), chi_prefix(F(1, 2**j)))["value"] for j in range(5, 0, -1)
         ]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_linfty_diverges(self):
-        from rlab.spaces import sym_kernel_report
-
         rep = sym_kernel_report(Linfty(), StepFunction.constant(1))
         assert rep["diverging"] and rep["value"] == math.inf
+
+
+# Per family: the dual's label (None where no formula exists), log^(1/2)
+# membership, and the sym-kernel report of FAMILY_F (value and trend as
+# float.hex, diverging), pinned so that any change to a family's formulas
+# shows, down to the last bit.
+FAMILY_F = make_step(3, [3, -1, 2, 0, F(1, 2), F(5, 4), -3, 1])
+FAMILY_PINS = [
+    ("lp:1", "linfty", True, "0x1.28ddfa0057062p+1", False, []),
+    ("lp:3/2", "lp(p=3)", True, "0x1.5d87cc43b2318p+1", False, []),
+    ("linfty", "lp(p=1)", False, "inf", True, []),
+    (
+        "lorentz:sqrt", "marcinkiewicz(phi=tilde(pow:0.5))", True, "0x1.e64f28cc8dd4ep+1", False,
+        [
+            "0x1.e0b0f89dea70fp+1", "0x1.e647a12a0133ap+1", "0x1.e64f27deb06a6p+1",
+            "0x1.e64f2881a4977p+1", "0x1.e64f28cc8dd4ep+1",
+        ],
+    ),
+    (
+        "marcinkiewicz:logpow:0.5", "lorentz(phi=tilde(logpow:0.5))", True,
+        "0x1.c543bf48c3337p+1", False,
+        [
+            "0x1.c543bf48c3337p+1", "0x1.c543bf48c3337p+1", "0x1.c543bf48c3337p+1",
+            "0x1.c543bf48c3337p+1", "0x1.c543bf48c3337p+1",
+        ],
+    ),
+    ("explp:1", "lorentz(phi=tilde(logpow:1.0))", True, "0x1.f129d9517cd23p+0", False, []),
+    ("explp:3", "lorentz(phi=tilde(logpow:0.3333333333333333))", False, "inf", True, []),
+    ("orlicz:pow:2", "lp(p=2)", True, "0x1.89de3c207cd4ep+1", False, []),
+    ("orlicz:exp:2", None, True, "0x1.8000000000000p+1", False, []),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,dual,loghalf,value,diverging,trend", FAMILY_PINS, ids=[row[0] for row in FAMILY_PINS]
+)
+def test_family_formulas_pinned(desc, dual, loghalf, value, diverging, trend):
+    X = parse_space(desc)
+    if dual is None:
+        with pytest.raises(UnsupportedDual):
+            X.dual()
+    else:
+        assert X.dual().label == dual
+    assert contains_loghalf(X) is loghalf
+    rep = sym_kernel_report(X, FAMILY_F)
+    assert rep["value"].hex() == value
+    assert rep["diverging"] is diverging
+    assert [t.hex() for t in rep["trend"]] == trend
 
 
 class TestLogPowCumulative:
@@ -233,21 +273,6 @@ class TestDivergenceTrend:
     def test_growing_sequence_diverging(self):
         div, _ = divergence_trend([1.0, 2.0, 4.0, 8.0, 16.0])
         assert div
-
-
-class TestPsiFromPhi:
-    def test_identity_phi(self):
-        psi = psi_from_phi(PowerPhi(1.0))
-        oracle, _ = integrate.quad(
-            lambda s: math.sqrt(math.log(math.e / s)), 0.0, 1.0
-        )
-        assert psi(1.0) == pytest.approx(oracle, rel=1e-6)
-        assert psi(1.0) > 1.0  # integrand >= 1
-
-    def test_ratio_grows_toward_zero(self):
-        psi = psi_from_phi(PowerPhi(1.0))
-        ratios = [psi(2.0**-j) / 2.0**-j for j in (2, 6, 10, 14)]
-        assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
 class TestParsing:
@@ -315,7 +340,7 @@ class TestExpLpConventions:
         for j in range(1, 8):
             chi = chi_prefix(F(1, 2**j))
             sup_form = X.norm(chi)
-            lux = X.luxemburg_norm(chi)
+            lux = OrliczSpace(ExpPowerOrlicz(2.0)).norm(chi)
             assert lux > 0 and sup_form > 0
             ratios.append(sup_form / lux)
         # mutual equivalence: bounded ratio band, measured not assumed

@@ -1,4 +1,4 @@
-"""Weighted spaces X(w): norms, admissibility, and the Hoelder pairing."""
+"""Weighted spaces X(w): norms and the Hoelder pairing."""
 
 import math
 from fractions import Fraction as F
@@ -13,7 +13,6 @@ from rlab.phi import PowerPhi
 from rlab.spaces import Lorentz, Lp, Marcinkiewicz, norm, parse_space
 from rlab.weighted import (
     Weight,
-    admissible,
     holder_check,
     parse_weight,
     weighted_norm,
@@ -75,37 +74,6 @@ class TestWeightedNorm:
         X = Lp(F(2))
         lhs = weighted_norm(X, w, f + g)
         assert lhs <= weighted_norm(X, w, f) + weighted_norm(X, w, g) + 1e-12
-
-
-class TestAdmissible:
-    def test_l2_unit_weight(self):
-        res = admissible(Lp(F(2)), Weight.constant(1))
-        assert res["ok"]
-        assert res["wX"] == pytest.approx(1.0)
-        assert res["invWXdual"] == pytest.approx(1.0)
-
-    def test_l1_bounded_weight(self):
-        res = admissible(Lp(F(1)), Weight(make_step(1, [F(1, 2), 1])))
-        assert res["ok"]
-
-    def test_decaying_weight_trend_breaks_dual_half(self):
-        # w ~ t near zero: 1/w ~ 1/t is not square integrable, so the dual
-        # norm grows without bound as the sampling level increases
-        X = Lp(F(2))
-        vals = []
-        for level in (6, 9, 12):
-            w = Weight.from_samples(lambda t: t, level)
-            vals.append(admissible(X, w)["invWXdual"])
-        assert vals[0] < vals[1] < vals[2]
-        assert vals[2] / vals[0] > 5
-
-    def test_scaling_monotonicity(self):
-        X = Lp(F(2))
-        w = Weight(make_step(1, [1, 2]))
-        big = Weight(w.fn.scale(8))
-        small = Weight(w.fn.scale(F(1, 8)))
-        assert admissible(X, big)["wX"] > admissible(X, w)["wX"]
-        assert admissible(X, small)["invWXdual"] > admissible(X, w)["invWXdual"]
 
 
 class TestHolder:
