@@ -42,7 +42,6 @@ from .spaces import (
 )
 from .weighted import Weight, holder_check, parse_weight, weighted_norm
 from .projections import (
-    CoeffSeq,
     NormBracket,
     coefficients,
     equivalence_constants,

@@ -207,6 +207,28 @@ def _fraction_repr(man: int, exp: int) -> str:
         return mpmath.nstr(mpmath.mpf((man, exp)), 20)
 
 
+def _printable(v: int) -> bool:
+    try:
+        str(v)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return False
+    return True
+
+
+def plan_entry(v: int, exps: list[int]) -> int | str:
+    """v = sum of 2^e over the increasing exps as a JSON integer, or, past the
+    int-to-str digit limit, as the exact string "2^e_top+...+rest"."""
+    if _printable(v):
+        return v
+    terms = []
+    for e in reversed(exps):
+        terms.append(f"2^{e}")
+        v -= 1 << e
+        if _printable(v):
+            break
+    return "+".join(terms + ([str(v)] if v else []))
+
+
 def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
     """Exact-arithmetic certificate for the first K blocks of a strict plan."""
     if not (pl.strict and pl.condition_ok):

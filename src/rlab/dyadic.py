@@ -139,12 +139,10 @@ def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "
     return _attach(f, _IntForm(den, lengths, _ints(nums, top), top))
 
 
-def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np.ndarray, int] | None:
+def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np.ndarray, int]:
     """Cell numerators of sum a_k r_k over one common denominator, in cell
-    order, or None past the guard; int64 only if `headroom` more bits fit."""
-    den = _common_denominator(c.denominator for c in coeffs)
-    if den is None:
-        return None
+    order; int64 only if `headroom` more bits fit."""
+    den = math.lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     cells = _ints([0], sum(map(abs, nums)) << headroom)
     for c in nums:
@@ -210,10 +208,6 @@ class StepFunction:
         top = max(map(abs, nums))
         lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
         return _IntForm(den, lengths, _ints(nums, top), top)
-
-    @property
-    def num_cells(self) -> int:
-        return 2**self.level
 
     def values(self) -> list[Fraction]:
         """Materialize the per-cell values at the function's own level."""
@@ -492,19 +486,8 @@ def rademacher_sum(a: Sequence) -> StepFunction:
     coeffs = [Fraction(v) for v in a]
     n = len(coeffs)
     _check_level(n)
-    enumerated = _rademacher_cells(coeffs)
-    if enumerated is not None:
-        cells, den = enumerated
-        return _from_ints(n, np.ones(len(cells), dtype=np.int64), cells, den)
-    vals = [Fraction(0)]
-    for ak in coeffs:
-        # r_{k+1} alternates sign on each half of every current cell
-        nxt = []
-        for v in vals:
-            nxt.append(v + ak)
-            nxt.append(v - ak)
-        vals = nxt
-    return StepFunction.from_runs(n, ((1, v) for v in vals))
+    cells, den = _rademacher_cells(coeffs)
+    return _from_ints(n, np.ones(len(cells), dtype=np.int64), cells, den)
 
 
 def signs_orthogonal(n: int, js: Sequence[int]) -> bool:

@@ -27,26 +27,6 @@ KHINTCHINE_LOWER_SQ = Fraction(1, 2)  # (1/sqrt(2))^2
 
 
 @dataclass(frozen=True)
-class CoeffSeq:
-    """Finite coefficient sequence with exact l2 accounting for rationals."""
-
-    a: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values: Sequence) -> "CoeffSeq":
-        return CoeffSeq(tuple(Fraction(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    def l2_squared(self) -> Fraction:
-        return sum((v * v for v in self.a), Fraction(0))
-
-    def l2(self) -> float:
-        return math.sqrt(float(self.l2_squared()))
-
-
-@dataclass(frozen=True)
 class NormBracket:
     """[lower, upper] interval for a norm estimate; `method` says how each
     end was found.
@@ -68,18 +48,18 @@ class NormBracket:
             raise ValueError(f"bracket inverted: {self.lower} > {self.upper}")
 
 
-def coefficients(f: StepFunction, n: int) -> CoeffSeq:
+def coefficients(f: StepFunction, n: int) -> tuple[Fraction, ...]:
     """Exact Rademacher coefficients c_k = integral f r_k, k = 1..n."""
     if n > level_cap():
         raise LevelCapExceeded(f"n = {n} exceeds cap {level_cap()}")
     if n < 1:
-        return CoeffSeq(())
-    return CoeffSeq(tuple(f.rademacher_coefficients(n)))
+        return ()
+    return tuple(f.rademacher_coefficients(n))
 
 
 def project(f: StepFunction, n: int) -> StepFunction:
     """Truncated Rademacher projection P_n f = sum_{k<=n} c_k(f) r_k, exact."""
-    cs = coefficients(f, n).a
+    cs = coefficients(f, n)
     m = len(cs)
     while m and cs[m - 1] == 0:
         m -= 1
@@ -92,18 +72,15 @@ def rademacher_sum_l1_exact(a: Sequence) -> Fraction:
     n = len(coeffs)
     if n > KHINTCHINE_MAX_N:
         raise TooManyCoefficients(f"n = {n} exceeds {KHINTCHINE_MAX_N}")
-    enumerated = _rademacher_cells(coeffs, headroom=n)
-    if enumerated is None:
-        return rademacher_sum(coeffs).abs_integral()
-    cells, den = enumerated
+    cells, den = _rademacher_cells(coeffs, headroom=n)
     return Fraction(int(np.abs(cells).sum()), den << n)
 
 
-def khintchine_check(a: CoeffSeq | Sequence) -> dict:
+def khintchine_check(a: Sequence) -> dict:
     """Exact L1 Khintchine window: l2/sqrt(2) <= ||sum a_k r_k||_1 <= l2."""
-    seq = a if isinstance(a, CoeffSeq) else CoeffSeq.of(a)
-    l1 = rademacher_sum_l1_exact(seq.a)
-    l2_sq = seq.l2_squared()
+    coeffs = [Fraction(v) for v in a]
+    l1 = rademacher_sum_l1_exact(coeffs)
+    l2_sq = sum((v * v for v in coeffs), Fraction(0))
     lower_ok = KHINTCHINE_LOWER_SQ * l2_sq <= l1 * l1
     upper_ok = l1 * l1 <= l2_sq
     return {"l1": l1, "l2_squared": l2_sq, "lower_ok": bool(lower_ok), "upper_ok": bool(upper_ok)}

@@ -119,9 +119,6 @@ class SpaceSpec:
     def params(self) -> dict:
         return {}
 
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "params": self.params()}
-
     @property
     def label(self) -> str:
         ps = self.params()
@@ -619,7 +616,7 @@ def parse_space(text: str) -> SpaceSpec:
                 return OrliczSpace(PowerOrlicz(float(parts[2])))
             if parts[1] == "exp":
                 return OrliczSpace(ExpPowerOrlicz(float(parts[2])))
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"malformed space descriptor {text!r}") from exc
     raise InvalidSpec(f"unknown space family {family!r}")
 

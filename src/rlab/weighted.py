@@ -84,6 +84,6 @@ def parse_weight(text: str) -> Weight:
             if level > level_cap():
                 raise InvalidSpec(f"sampling level {level} exceeds cap")
             return Weight.logpow(beta, level)
-    except (IndexError, ValueError, OSError) as exc:
+    except (LookupError, TypeError, ValueError, ZeroDivisionError, OSError) as exc:
         raise InvalidSpec(f"malformed weight descriptor {text!r}") from exc
     raise InvalidSpec(f"unknown weight kind {kind!r}")

@@ -1,18 +1,22 @@
 """Command-line front end: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rlab.cli import main
+from rlab.cli import COMMANDS, main
 from rlab.dyadic import make_step
 from rlab.phi import ExpPowerOrlicz, PowerOrlicz
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -283,3 +287,122 @@ class TestOutputModes:
 
     def test_unknown_command_exit_1(self, capsys):
         assert main(["definitely-not-a-command"]) == 1
+
+
+STEP_FILE = '{"level": 1, "runs": [[1, "1/1"], [1, "2/1"]]}'
+BAD_FILES = {
+    "nolevel.json": '{"level": 1}',
+    "notjson.json": "not json {",
+    "noexp.json": '{"config": {}, "records": []}',
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "norm --space lp:2 --fn missing.json",
+    "norm --space lp:2 --fn nolevel.json",
+    "norm --space lp:2 --fn notjson.json",
+    "compare missing.json f.json",
+    "compare noexp.json f.json",
+    "compare notjson.json f.json",
+    "--out missing/x.json norm --space lp:2 --values 1,2",
+    "norm --space lp:2 --values 1,x",
+    "norm --space lp:2 --values 1/0,1",
+    "norm --space lp:2 --chi x",
+    "norm --space lp:1/0 --values 1,2",
+    "projnorm --space lp:2 --weight const:1 --n-list 2,x",
+    "projnorm --space lp:2 --weight const:1/0 --n-list 2",
+    "projnorm --space lp:2 --weight step:nolevel.json --n-list 2",
+    "cex plan --m 1,x",
+    "cex build --m 1,x --blocks 1",
+    "cex certify --m 1,x --blocks 1",
+    "indices --phi pow",
+    "indices --phi pow:x",
+])
+def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
+    # an unreadable or malformed input file or literal is a validation error
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_text(STEP_FILE)
+    for name, text in BAD_FILES.items():
+        Path(name).write_text(text)
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def readme_commands() -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command-line interface")[1].split("```sh")[1].split("```")[0]
+    return [line for line in block.splitlines() if line.startswith("rlab ")]
+
+
+# sha256 of each README command's report; the reports stay byte-identical
+README_DIGESTS = {
+    "rlab norm --space lorentz:sqrt --chi 1/4":
+        "f2ea7b96f0eb2f853ccf0282729047a5f61e8157cbba7dfb0d4ad843c5ce818a",
+    "rlab norm --space lp:2 --values 3,1,2,3":
+        "2381b13e01b6c55d3d83e633ab2c616e415770c42cbd54bc933aa09f7e7d74cf",
+    "rlab rearrange --values 3,1,2,3":
+        "fcec8d31f4174e278e8d41fc6d88cd7d3075d7c5fc155acb4440f48e294d5d5b",
+    "rlab --seed 7 khintchine --n 16 --trials 500":
+        "6c99039cf9053080d9e6c099d1590b1341473d780f653cb155bd945b6e9133f6",
+    "rlab coeffs --values 1,0,0,0 --n 2":
+        "ae2038bf461a639abd8781fbaec0f6013b6a4de528403216c61f2cf898eadd4f",
+    "rlab project --values 1,0,0,0 --n 2":
+        "ccb97987fa69fdcfabc2eb2fbad2ecb7e8863032caaa3b8491c5bcb273acf6d1",
+    "rlab --seed 0 equiv --space lp:2 --weight const:1 --n 8 --trials 100":
+        "a6566628f6da1a5a1994cc3801745e089444d87e938701c17572c4ca5eaf17a7",
+    "rlab projnorm --space lp:2 --weight const:1 --n-list 2,4,8,16":
+        "b7ef61eaa89da24abcd622fdfbe9211292235a7ab463b1310d94f8b303881256",
+    "rlab multiplicator --space lp:1 --values 1,1,1,1 --n 8 --budget 200":
+        "9912e05f614b926be28a686d0562641a54fa49f1ed17a1df7c2a981d17e24003",
+    "rlab theorems --space lp:2 --weight const:1":
+        "7e14bffa7ce1823612d4e370f52ecaceb016a6837141f3d0d1806706b5bfa83e",
+    "rlab cex plan --m 1,16":
+        "7d1f4e5210af6474570e69832aed0670f7dbd00440317cb84d5dd599b54cddc4",
+    "rlab cex build --m 2,3 --relaxed --blocks 2":
+        "8d9ecafe976a623afd90dece00ed428916f86f3e184af4757077aae156c4c357",
+    "rlab cex certify --m 1,16 --blocks 2":
+        "dd80537fab970dd45cc9767c327852a5151913b2a8c7baf39fda5fce801201f5",
+    # a.json and b.json are the reports of the first two commands
+    "rlab compare a.json b.json":
+        "cdd75c34eea9ef2a467ee1b20d30f4105e5feaae1658192b3cce775ca2071b38",
+}
+
+# indices fits its exponents with np.polyfit, whose last bits may vary
+README_INDICES = ("rlab indices --phi logpow:0.5", [
+    ("gamma", "grid-estimate", 0.003263086877820367),
+    ("delta", "grid-estimate", 0.012014434130542727),
+    ("delta2", "trend", {"C": 1.4018517020206744, "holds": True,
+                         "sups": [1.3689119751169967, 1.3902224918118813, 1.4018517020206744]}),
+])
+
+
+def test_readme_commands_reproduce(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_commands()
+    assert sorted(lines) == sorted([*README_DIGESTS, README_INDICES[0]])
+    for i, line in enumerate(lines):
+        argv = shlex.split(line)[1:]
+        if argv[0] == "compare":
+            shutil.copy("report0.json", "a.json")
+            shutil.copy("report1.json", "b.json")
+        out = Path(f"report{i}.json")
+        assert main(["--out", str(out), *argv]) == 0, line
+        if line == README_INDICES[0]:
+            recs = json.loads(out.read_text())["records"]
+            assert [(r["name"], r["method"]) for r in recs] == [e[:2] for e in README_INDICES[1]]
+            for rec, (_, _, value) in zip(recs, README_INDICES[1]):
+                assert rec["value"] == pytest.approx(value, rel=1e-12)
+        else:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DIGESTS[line], line
+
+
+def test_readme_shows_every_subcommand():
+    shown = set()
+    for line in readme_commands():
+        words = shlex.split(line)[1:]
+        while words[0].startswith("--"):  # global flags and their values
+            words = words[2:]
+        shown.update({words[0], " ".join(words[:2])})
+    assert {cmd.path for cmd in COMMANDS} <= shown

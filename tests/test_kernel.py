@@ -110,7 +110,7 @@ def test_coefficients_are_sign_sums(f):
         if k <= level else F(0)
         for k in range(1, level + 3)
     ]
-    assert list(coefficients(f, level + 2).a) == expected
+    assert list(coefficients(f, level + 2)) == expected
 
 
 @st.composite

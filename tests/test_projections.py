@@ -21,7 +21,6 @@ from rlab.dyadic import (
 from rlab.errors import TooManyCoefficients, UnsupportedDual
 from rlab.phi import LogPowerPhi
 from rlab.projections import (
-    CoeffSeq,
     NormBracket,
     coefficients,
     equivalence_constants,
@@ -46,24 +45,24 @@ step_functions = st.integers(min_value=0, max_value=5).flatmap(
 
 class TestCoefficients:
     def test_rademacher_is_orthonormal(self):
-        assert coefficients(rademacher(1), 2).a == (F(1), F(0))
+        assert coefficients(rademacher(1), 2) == (F(1), F(0))
 
     def test_corner_indicator(self):
-        assert coefficients(make_step(2, [1, 0, 0, 0]), 2).a == (F(1, 4), F(1, 4))
+        assert coefficients(make_step(2, [1, 0, 0, 0]), 2) == (F(1, 4), F(1, 4))
 
     def test_constant_has_zero_coefficients(self):
-        assert coefficients(StepFunction.constant(1), 3).a == (F(0), F(0), F(0))
+        assert coefficients(StepFunction.constant(1), 3) == (F(0), F(0), F(0))
 
     def test_above_function_level_vanish(self):
         f = make_step(2, [3, 1, 2, 3])
-        cs = coefficients(f, 6).a
+        cs = coefficients(f, 6)
         assert cs[2:] == (F(0),) * 4
 
     @settings(deadline=None, max_examples=40)
     @given(step_functions, st.integers(min_value=1, max_value=7))
     def test_matches_direct_integration(self, f, n):
         direct = tuple((f * rademacher(k)).integral() for k in range(1, n + 1))
-        assert coefficients(f, n).a == direct
+        assert coefficients(f, n) == direct
 
 
 class TestProject:
@@ -128,10 +127,6 @@ class TestBracket:
     def test_inverted_bracket_rejected(self):
         with pytest.raises(ValueError):
             NormBracket(2.0, 1.0, "exact")
-
-    def test_coeffseq_l2(self):
-        assert CoeffSeq.of([3, 4]).l2_squared() == 25
-        assert CoeffSeq.of([3, 4]).l2() == pytest.approx(5.0)
 
 
 class TestEquivalenceConstants:
