@@ -199,6 +199,20 @@ def _opt(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
+def _int_at_least(flag: str, low: int) -> Callable[[str], int]:
+    """The argparse type of an integer `flag` that must be at least `low`.
+    argparse turns only ValueError and TypeError into its usage error, so
+    the InvalidSpec reaches main as one `error:` line."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise InvalidSpec(f"{flag} must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 class Command(NamedTuple):
     """One subcommand: `path` such as "cex plan" names it and its report
     experiment ("cex-plan"); `params` are the options its config records."""
@@ -219,18 +233,22 @@ WEIGHT = _opt("--weight", required=True)
 M = _opt("--m", required=True)
 BLOCKS = _opt("--blocks", type=int, required=True)
 RELAXED = _opt("--relaxed", action="store_false", dest="strict")
+N_POSITIVE = _int_at_least("--n", 1)
+# the fewest bits at which every strict chain tried, up to 1,16,2**24, prints
+# the records that 128 bits print, with a bit to spare
+MIN_PRECISION = 80
 
 COMMANDS = (
     Command("norm", ("space",), _norm, (SPACE, *FN)),
     Command("rearrange", (), _rearrange, FN),
     Command("khintchine", ("n", "trials"), _khintchine,
-            (_opt("--n", type=int, default=16), _opt("--trials", type=int, default=100))),
+            (_opt("--n", type=N_POSITIVE, default=16), _opt("--trials", type=int, default=100))),
     Command("coeffs", ("n",), _coeffs, (*FN, _opt("--n", type=int, required=True))),
     Command("project", ("n",), _project, (*FN, _opt("--n", type=int, required=True))),
     Command("equiv", ("space", "weight", "n", "trials"), _equiv,
-            (SPACE, WEIGHT, _opt("--n", type=int, default=10), _opt("--trials", type=int, default=100))),
+            (SPACE, WEIGHT, _opt("--n", type=N_POSITIVE, default=10), _opt("--trials", type=int, default=100))),
     Command("multiplicator", ("space", "n", "budget"), _multiplicator,
-            (SPACE, *FN, _opt("--n", type=int, default=8), _opt("--budget", type=int, default=200))),
+            (SPACE, *FN, _opt("--n", type=N_POSITIVE, default=8), _opt("--budget", type=int, default=200))),
     Command("projnorm", ("space", "weight", "n_list", "trials"), _projnorm,
             (SPACE, WEIGHT, _opt("--n-list", default="2,4,8,16"), _opt("--trials", type=int, default=30))),
     Command("theorems", ("space", "weight"), _theorems, (SPACE, WEIGHT)),
@@ -246,7 +264,8 @@ COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rlab")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision", type=int, default=128, help="certificate precision bits")
+    parser.add_argument("--precision", type=_int_at_least("--precision", MIN_PRECISION),
+                        default=128, help="certificate precision bits")
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
@@ -265,20 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    cmd = args.cmd
-    experiment = cmd.path.replace(" ", "-")
-    # the seed replays every random run; precision and params record the rest
-    rep = Report(experiment, {
-        "experiment": experiment,
-        "seed": args.seed,
-        "precision": args.precision,
-        "params": {name: getattr(args, name) for name in cmd.params},
-    })
-    try:
+        cmd = args.cmd
+        experiment = cmd.path.replace(" ", "-")
+        # the seed replays every random run; precision and params record the rest
+        rep = Report(experiment, {
+            "experiment": experiment,
+            "seed": args.seed,
+            "precision": args.precision,
+            "params": {name: getattr(args, name) for name in cmd.params},
+        })
         code = cmd.run(rep, args)
         _emit(rep, args)
+    except SystemExit as exc:  # argparse: --help, or a usage error it printed
+        return 1 if exc.code not in (0, None) else 0
     except (RlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

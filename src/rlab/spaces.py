@@ -8,13 +8,15 @@ StepFunctions; outputs are floats at documented tolerances.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
-from scipy import special
 
 from .dyadic import StepFunction
 from .errors import InvalidSpec, UnsupportedDual
@@ -26,23 +28,36 @@ PRUNE_MARGIN = 1.0 + 1e-9
 ORLICZ_TOL = 1e-10
 ORLICZ_MARGIN = 1e-9
 TREND_GROWTH = 1e-3
+# grid depths j of the doubling truncations t >= 2**-j that divergence_trend reads
+TRUNCATIONS = (16, 32, 64, 128, 256)
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) for x > 0: by the recurrence when 2s is an integer, every
+    term positive so nothing cancels; by mpmath for any other s."""
+    if s < 0.5 or not (2.0 * s).is_integer():
+        return float(mpmath.gammainc(s, x))
+    ex = math.exp(-x)
+    a = 0.5 if s % 1 else 1.0
+    g = math.sqrt(math.pi) * math.erfc(math.sqrt(x)) if a == 0.5 else ex
+    while a < s:
+        g = a * g + x**a * ex
+        a += 1.0
+    return g
 
 
 def logpow_cumulative(q: float, t: float) -> float:
     """Integral of log(e/s)**q over s in (0, t], via the incomplete gamma.
 
-    Substituting s = e^(1-u) gives e * Gamma(q+1, log(e/t)).
+    Substituting s = e^(1-u) gives e * Gamma(q+1, log(e/t)).  Gamma(s, x)
+    climbs from Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) or Gamma(1, x) = e^-x
+    by Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x (DLMF 8.4.6, 8.4.5, 8.8.2).
     """
     if t <= 0:
         return 0.0
     if t > 1:
         t = 1.0
-    x = math.log(math.e / t)
-    return math.e * special.gammaincc(q + 1.0, x) * math.gamma(q + 1.0)
-
-
-def loghalf_cumulative(t: float) -> float:
-    return logpow_cumulative(0.5, t)
+    return math.e * _upper_gamma(q + 1.0, math.log(math.e / t))
 
 
 def divergence_trend(values: list[float]) -> tuple[bool, list[float]]:
@@ -144,9 +159,16 @@ class Lp(SpaceSpec):
     def norm(self, f: StepFunction) -> float:
         p = self.p
         if p.denominator == 1:
-            # exact p-th moment, one correctly rounded division, one root
-            num, den = f._moment_pair(int(p))
-            return (num / den) ** (1.0 / int(p))
+            # exact p-th moment, one correctly rounded division, one root; a
+            # quotient below the normal range is first scaled by an exact
+            # 2**(p*k) taken from the bit lengths, and the root back by 2**-k
+            q = int(p)
+            num, den = f._moment_pair(q)
+            r = num / den
+            if r >= sys.float_info.min or not num:
+                return r ** (1.0 / q)
+            k = -((num.bit_length() - den.bit_length()) // q)
+            return math.ldexp(((num << q * k) / den) ** (1.0 / q), -k)
         pf = float(p)
         width = 1.0 / 2**f.level
         total = math.fsum(length * abs(float(value)) ** pf for length, value in f.runs) * width
@@ -216,23 +238,18 @@ class Lorentz(SpaceSpec):
         return Marcinkiewicz(self.phi.tilde())
 
     def contains_loghalf(self) -> bool:
-        partials = []
-        for jmax in (16, 32, 64, 128, 256):
-            total = 0.0
-            prev_phi = self.phi(1.0)
-            acc = 0.0
-            for j in range(1, jmax + 1):
-                t_hi = 2.0 ** -(j - 1)
-                t_lo = 2.0**-j
-                acc += _loghalf(t_hi) * (prev_phi - self.phi(t_lo))
-                prev_phi = self.phi(t_lo)
-            partials.append(acc)
-        diverging, _ = divergence_trend(partials)
+        # Stieltjes sum over the dyadic grid, read at each truncation
+        phis = [self.phi(2.0**-j) for j in range(TRUNCATIONS[-1] + 1)]
+        sums = list(itertools.accumulate(
+            (_loghalf(2.0 ** -(j - 1)) * (phis[j - 1] - phis[j]) for j in range(1, len(phis))),
+            initial=0.0,
+        ))
+        diverging, _ = divergence_trend([sums[jmax] for jmax in TRUNCATIONS])
         return not diverging
 
     def sym_kernel(self, cells) -> dict:
         partials = [
-            _stieltjes_weighted(cells, self.phi, 2.0**-j) for j in (16, 32, 64, 128, 256)
+            _stieltjes_weighted(cells, self.phi, 2.0**-j) for j in TRUNCATIONS
         ]
         diverging, _ = divergence_trend(partials)
         return {
@@ -297,20 +314,17 @@ class Marcinkiewicz(SpaceSpec):
         return Lorentz(self.phi.tilde())
 
     def contains_loghalf(self) -> bool:
-        sups = []
-        for jmax in (16, 32, 64, 128, 256):
-            best = 0.0
-            for j in range(0, jmax + 1):
-                t = 2.0**-j
-                best = max(best, self.phi(t) / t * loghalf_cumulative(t))
-            sups.append(best)
-        diverging, _ = divergence_trend(sups)
+        ts = [2.0**-j for j in range(TRUNCATIONS[-1] + 1)]
+        sups = list(itertools.accumulate(
+            (self.phi(t) / t * logpow_cumulative(0.5, t) for t in ts), max, initial=0.0
+        ))
+        diverging, _ = divergence_trend([sups[jmax + 1] for jmax in TRUNCATIONS])
         return not diverging
 
     def sym_kernel(self, cells) -> dict:
         # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
         # from prefix sums added in the direct sum's left-to-right order
-        L = loghalf_cumulative
+        L = functools.partial(logpow_cumulative, 0.5)
         starts = [a for a, _, _ in cells]
         prefix = [0.0]
         for a, b, v in cells:
@@ -328,9 +342,9 @@ class Marcinkiewicz(SpaceSpec):
 
         # each candidate is evaluated once; a truncation's candidates are a
         # prefix of the dyadic grid, then the cell ends
-        grid = [objective(2.0**-j) for j in range(0, 257)]
+        grid = [objective(2.0**-j) for j in range(TRUNCATIONS[-1] + 1)]
         edges = [objective(b) for _, b, _ in cells]
-        sups = [max(grid[: jmax + 1] + edges) for jmax in (16, 32, 64, 128, 256)]
+        sups = [max(grid[: jmax + 1] + edges) for jmax in TRUNCATIONS]
         diverging, _ = divergence_trend(sups)
         return {
             "value": math.inf if diverging else sups[-1],

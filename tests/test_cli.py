@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rlab.cli import COMMANDS, main
+from rlab.cli import COMMANDS, MIN_PRECISION, main
 from rlab.dyadic import make_step
 from rlab.phi import ExpPowerOrlicz, PowerOrlicz
 
@@ -34,14 +34,27 @@ def records(doc):
     return {rec["name"]: rec for rec in doc["records"]}
 
 
+def run_python(*args, timeout=10):
+    """python with src/ on its path, in a child process."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def run_child(*argv, timeout=10):
     """rlab in a child process, so that a command that never returns fails
     its test at `timeout` seconds instead of stalling the suite."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "rlab.cli", *argv], capture_output=True, text=True,
-        timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+    return run_python("-m", "rlab.cli", *argv, timeout=timeout)
+
+
+def test_import_loads_no_scipy():
+    res = run_python(
+        "-c", "import sys, rlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestNorm:
@@ -49,6 +62,13 @@ class TestNorm:
         code, doc = run_json(capsys, "norm", "--space", "lp:1", "--values", "2,0,0,0")
         assert code == 0
         assert records(doc)["norm"]["value"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("space", ["lp:2", "lp:4"])
+    def test_lp_values_below_float_range(self, capsys, space):
+        # the p-th moment, 1e-200**p, is far below the float range
+        code, doc = run_json(capsys, "norm", "--space", space, "--values", "1e-200,1e-200")
+        assert code == 0
+        assert records(doc)["norm"]["value"] == 1e-200
 
     def test_chi_input(self, capsys):
         code, doc = run_json(
@@ -242,6 +262,15 @@ class TestCex:
         assert recs["verdict"]["value"] == "FAIL"
         assert recs["f_term_le_majorant[k=2]"]["value"]["holds"] is False
 
+    @pytest.mark.parametrize("m", ["1,16", "1,16,524304"])
+    def test_min_precision_prints_the_128_bit_records(self, capsys, m):
+        blocks = str(m.count(",") + 1)
+        low, high = (
+            run_json(capsys, "--precision", str(prec), "cex", "certify", "--m", m, "--blocks", blocks)[1]
+            for prec in (MIN_PRECISION, 128)
+        )
+        assert low["records"] == high["records"]
+
     def test_plan_at_plan_scale(self, capsys):
         code, doc = run_json(capsys, "cex", "plan", "--m", "1,16,524304")
         assert code == 0
@@ -317,6 +346,11 @@ BAD_FILES = {
     "cex certify --m 1,x --blocks 1",
     "indices --phi pow",
     "indices --phi pow:x",
+    "khintchine --n 0",
+    "equiv --space lp:2 --weight const:1 --n 0",
+    "multiplicator --space lp:1 --values 1,0 --n 0",
+    "--precision 0 cex certify --m 1,16 --blocks 2",
+    "--precision 79 cex certify --m 1,16 --blocks 2",
 ])
 def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
     # an unreadable or malformed input file or literal is a validation error

@@ -1,12 +1,13 @@
 """Norms, fundamental functions, duals, indices, and membership predicates."""
 
 import math
+import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from rlab.dyadic import StepFunction, chi_prefix, make_step
 from rlab.errors import InvalidSpec, UnsupportedDual
@@ -183,10 +184,7 @@ class TestContainsLogHalf:
 
 class TestSymKernel:
     def test_l1_full_indicator_matches_quadrature(self):
-        oracle, err = integrate.quad(
-            lambda t: math.sqrt(math.log(math.e / t)), 0.0, 1.0
-        )
-        assert err < 1e-8
+        oracle = float(mpmath.quad(lambda t: mpmath.sqrt(mpmath.log(mpmath.e / t)), [0, 1]))
         got = sym_kernel_report(Lp(F(1)), StepFunction.constant(1))["value"]
         assert got == pytest.approx(oracle, abs=1e-6)
 
@@ -210,8 +208,8 @@ class TestSymKernel:
 # shows, down to the last bit.
 FAMILY_F = make_step(3, [3, -1, 2, 0, F(1, 2), F(5, 4), -3, 1])
 FAMILY_PINS = [
-    ("lp:1", "linfty", True, "0x1.28ddfa0057062p+1", False, []),
-    ("lp:3/2", "lp(p=3)", True, "0x1.5d87cc43b2318p+1", False, []),
+    ("lp:1", "linfty", True, "0x1.28ddfa0057061p+1", False, []),
+    ("lp:3/2", "lp(p=3)", True, "0x1.5d87cc43b2314p+1", False, []),
     ("linfty", "lp(p=1)", False, "inf", True, []),
     (
         "lorentz:sqrt", "marcinkiewicz(phi=tilde(pow:0.5))", True, "0x1.e64f28cc8dd4ep+1", False,
@@ -222,10 +220,10 @@ FAMILY_PINS = [
     ),
     (
         "marcinkiewicz:logpow:0.5", "lorentz(phi=tilde(logpow:0.5))", True,
-        "0x1.c543bf48c3337p+1", False,
+        "0x1.c543bf48c332cp+1", False,
         [
-            "0x1.c543bf48c3337p+1", "0x1.c543bf48c3337p+1", "0x1.c543bf48c3337p+1",
-            "0x1.c543bf48c3337p+1", "0x1.c543bf48c3337p+1",
+            "0x1.c543bf48c332cp+1", "0x1.c543bf48c332cp+1", "0x1.c543bf48c332cp+1",
+            "0x1.c543bf48c332cp+1", "0x1.c543bf48c332cp+1",
         ],
     ),
     ("explp:1", "lorentz(phi=tilde(logpow:1.0))", True, "0x1.f129d9517cd23p+0", False, []),
@@ -252,14 +250,32 @@ def test_family_formulas_pinned(desc, dual, loghalf, value, diverging, trend):
     assert [t.hex() for t in rep["trend"]] == trend
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_lp_norm_scales_by_powers_of_two(p):
+    """norm(2^k f) = 2^k norm(f) down to k = -1000, past where the exact
+    p-th moment's quotient leaves the float range.  p = 1 takes no root and
+    holds bit for bit; libm's pow is not homogeneous in its last bit (it
+    differs for about one y in 1500 between y**0.5 and (y * 2**-180)**0.5
+    * 2**90), so p = 2, 4 hold to one ulp."""
+    X = Lp(F(p))
+    for f in (FAMILY_F, make_step(2, [F(1, 3), F(-7, 5), 0, F(22, 7)])):
+        base = norm(X, f)
+        for k in range(0, -1001, -1):
+            want = math.ldexp(base, k)
+            if want < sys.float_info.min:
+                break
+            got = norm(X, f.scale(F(2) ** k))
+            assert abs(got - want) <= (p > 1) * math.ulp(want), (k, got, want)
+
+
 class TestLogPowCumulative:
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    # q + 1 half-integer (0.5, 1.5), integer (1, 2: one and two recurrence
+    # steps) and neither (0.75, through mpmath)
+    @pytest.mark.parametrize("q", [0.5, 0.75, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("t", [1.0, 0.25, 1e-4])
     def test_against_quadrature(self, q, t):
-        oracle, err = integrate.quad(
-            lambda s: math.log(math.e / s) ** q, 0.0, t, limit=200
-        )
-        assert logpow_cumulative(q, t) == pytest.approx(oracle, rel=1e-8)
+        oracle = mpmath.quad(lambda s: mpmath.log(mpmath.e / s) ** q, [0, t])
+        assert logpow_cumulative(q, t) == pytest.approx(float(oracle), rel=1e-8)
 
     def test_degenerate(self):
         assert logpow_cumulative(0.5, 0.0) == 0.0
