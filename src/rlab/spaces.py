@@ -375,10 +375,27 @@ class OrliczSpace(SpaceSpec):
         expm1/pow (numpy may use SVML on AVX-512): about 1e-15 relative,
         some 10**6 times below the margin.  Every decision, and so the
         returned float, is the one the exact modular gives.
+
+        The norm is positively homogeneous, so the bisection runs on f scaled
+        by an exact 2**-e, taken from the largest bit-length difference of a
+        value's numerator and denominator and from M^-1(1), that puts its
+        first upper end max|f| / M^-1(1) in (1/2, 4); the result is scaled
+        back.  Scaling by a power of two commutes with
+        every rounding in the normal range, so where the unscaled loop stays
+        in that range the result is its float, and a norm far below 1e-300
+        or near the float maximum is found as well.
         """
-        vals = [(length / 2**f.level, abs(float(value))) for length, value in f.runs if value != 0]
-        if not vals:
+        # integer bit lengths, not Fraction comparisons: max|f| 2**-e lies in (1/2, 2)
+        e = max((v.numerator.bit_length() - v.denominator.bit_length() for _, v in f.runs if v),
+                default=None)
+        if e is None:
             return 0.0
+        c = self.M.inverse(1.0)
+        e -= math.frexp(c)[1]
+        # each |v| 2**-e rounded once: int / int divides correctly rounded
+        up, down = max(-e, 0), max(e, 0)
+        vals = [(length / 2**f.level, (abs(v.numerator) << up) / (v.denominator << down))
+                for length, v in f.runs if v]
         top = max(v for _, v in vals)
         ms, vs = np.array(vals).T
 
@@ -396,26 +413,23 @@ class OrliczSpace(SpaceSpec):
                 return est <= 1.0
             return modular(lam) <= 1.0
 
-        hi = top / self.M.inverse(1.0)
-        if hi == math.inf:
-            # top / M^-1(1) overflows: search down from the largest float
-            hi = sys.float_info.max
-            if not feasible(hi):
-                raise OverflowError(f"{self.label} norm exceeds the float range")
+        hi = top / c
         lo = hi
         while feasible(lo):
             lo /= 2.0
             if lo < 1e-300:
                 return 0.0
-        # bisection on the monotone feasibility boundary; halving each end
-        # first cannot overflow, and with lo >= 1e-300 it rounds as (lo+hi)/2
+        # bisection on the monotone feasibility boundary
         while (hi - lo) / hi > ORLICZ_TOL:
-            mid = 0.5 * lo + 0.5 * hi
+            mid = 0.5 * (lo + hi)
             if feasible(mid):
                 hi = mid
             else:
                 lo = mid
-        return hi
+        try:
+            return math.ldexp(hi, e)
+        except OverflowError:
+            raise OverflowError(f"{self.label} norm exceeds the float range") from None
 
     def fundamental(self, t) -> float:
         t = float(t)
@@ -502,8 +516,8 @@ class ExpLp(SpaceSpec):
         return {"value": best, "diverging": False, "trend": []}
 
 
-def _golden_max(g, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
-    """Golden-section maximum of g on [a, b] to relative x-tolerance tol."""
+def _golden_max(g, a: float, b: float) -> float:
+    """Golden-section maximum of g on [a, b] to relative x-tolerance GOLDEN_TOL."""
     if b <= a:
         return g(b)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
@@ -512,7 +526,7 @@ def _golden_max(g, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
     f1, f2 = g(x1), g(x2)
     best = max(g(a), g(b), f1, f2)
     lo, hi = a, b
-    while (hi - lo) > tol * max(hi, 1e-30):
+    while (hi - lo) > GOLDEN_TOL * max(hi, 1e-30):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv * (hi - lo)
@@ -531,14 +545,16 @@ def norm(X: SpaceSpec, f: StepFunction) -> float:
     return X.norm(f)
 
 
-def dilation_indices(psi: PhiFn, j_lo: int = 40, j_hi: int = 80) -> tuple[float, float]:
+def dilation_indices(psi: PhiFn) -> tuple[float, float]:
     """Finite-grid estimates of the lower/upper dilation indices of psi.
 
-    Log-log slope fit of sup_s psi(st)/psi(s) for t -> 0 (gamma) and
-    t -> infinity (delta); clamped into [0, 1] with gamma <= delta.  The
-    window must sit deep enough that slowly varying factors (powers of
-    log) contribute a slope below the reported 0.02 tolerance.
+    Log-log slope fit of sup_s psi(st)/psi(s) for t = 2**-j -> 0 (gamma)
+    and t = 2**j -> infinity (delta), j = 40..80; clamped into [0, 1] with
+    gamma <= delta.  The window sits deep enough that slowly varying
+    factors (powers of log) contribute a slope below the reported 0.02
+    tolerance.
     """
+    j_lo, j_hi = 40, 80
     s_grid = [2.0**-j for j in range(0, 2 * j_hi + 1)]
 
     def sup_ratio_small(t: float) -> float:

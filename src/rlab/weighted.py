@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import StepFunction, level_cap, make_step
+from .dyadic import LEVEL_CAP, StepFunction, make_step
 from .errors import DivisionByZero, InvalidSpec, NonPositiveWeight
 from .spaces import SpaceSpec, norm
 
@@ -31,21 +31,15 @@ class Weight:
         return Weight(StepFunction.constant(c), label=f"const:{c}")
 
     @staticmethod
-    def from_samples(fn_of_t, level: int, label: str = "sampled", max_den: int = 10**12) -> "Weight":
-        """Sample a closed-form positive weight at cell midpoints."""
+    def logpow(beta: float, level: int) -> "Weight":
+        """w(t) = log(e/t)**beta sampled at rank-`level` cell midpoints, each
+        sample rounded to the nearest fraction with denominator <= 10**12."""
         n = 2**level
         vals = [
-            Fraction(float(fn_of_t((j + 0.5) / n))).limit_denominator(max_den)
+            Fraction(math.log(math.e / ((j + 0.5) / n)) ** beta).limit_denominator(10**12)
             for j in range(n)
         ]
-        return Weight(make_step(level, vals), label=f"{label}:level={level}")
-
-    @staticmethod
-    def logpow(beta: float, level: int) -> "Weight":
-        """w(t) = log(e/t)**beta sampled at rank-`level` cell midpoints."""
-        return Weight.from_samples(
-            lambda t: math.log(math.e / t) ** beta, level, label=f"logpow:{beta}"
-        )
+        return Weight(make_step(level, vals), label=f"logpow:{beta}:level={level}")
 
 
 def weighted_norm(X: SpaceSpec, w: Weight, f: StepFunction) -> float:
@@ -81,7 +75,7 @@ def parse_weight(text: str) -> Weight:
                 key, _, val = extra.partition("=")
                 if key == "level":
                     level = int(val)
-            if level > level_cap():
+            if level > LEVEL_CAP:
                 raise InvalidSpec(f"sampling level {level} exceeds cap")
             return Weight.logpow(beta, level)
     except (LookupError, TypeError, ValueError, ZeroDivisionError, OSError) as exc:

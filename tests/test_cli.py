@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import shutil
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from rlab.cli import COMMANDS, MIN_PRECISION, main
+from rlab import counterexample as cex
+from rlab.cli import COMMANDS, main
 from rlab.dyadic import make_step
 from rlab.phi import ExpPowerOrlicz, PowerOrlicz
 
@@ -128,11 +130,22 @@ class TestNorm:
         value = records(json.loads(res.stdout))["norm"]["value"]
         assert value == pytest.approx(1e308 / M.inverse(mass), rel=1e-9)
 
-    def test_malformed_level_cap_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("RLAB_LEVEL_CAP", "abc")
-        code = main(["norm", "--space", "lp:2", "--values", "1,2"])
-        assert code == 1
-        assert "RLAB_LEVEL_CAP" in capsys.readouterr().err
+    @pytest.mark.parametrize("space,values,expected", [
+        # the modular search stopped below 1e-300 and printed 0.0
+        ("orlicz:pow:2", "1e-301,1e-301", 1e-301),
+        # v chi_[0,1/2] has Luxemburg norm v / M^-1(2) = v / sqrt(log 3)
+        ("orlicz:exp:2", "1e-310,0", 1e-310 / math.sqrt(math.log(3.0))),
+    ])
+    def test_orlicz_norm_below_1e300(self, capsys, space, values, expected):
+        code, doc = run_json(capsys, "norm", "--space", space, "--values", values)
+        assert code == 0
+        assert records(doc)["norm"]["value"] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("space,method", [("lp:2", "exact"), ("lp:3/2", "evaluator")])
+    def test_only_integer_p_is_labelled_exact(self, capsys, space, method):
+        code, doc = run_json(capsys, "norm", "--space", space, "--values", "1e-200,1e-200")
+        assert code == 0
+        assert records(doc)["norm"]["method"] == method
 
 
 class TestRearrange:
@@ -263,13 +276,19 @@ class TestCex:
         assert recs["f_term_le_majorant[k=2]"]["value"]["holds"] is False
 
     @pytest.mark.parametrize("m", ["1,16", "1,16,524304"])
-    def test_min_precision_prints_the_128_bit_records(self, capsys, m):
+    def test_80_bits_print_the_128_bit_records(self, capsys, monkeypatch, m):
+        # the fixed precision has room to spare: 80 bits print the same decimals
         blocks = str(m.count(",") + 1)
-        low, high = (
-            run_json(capsys, "--precision", str(prec), "cex", "certify", "--m", m, "--blocks", blocks)[1]
-            for prec in (MIN_PRECISION, 128)
-        )
-        assert low["records"] == high["records"]
+        docs = []
+        for prec in (80, cex.PRECISION):
+            monkeypatch.setattr(cex, "PRECISION", prec)
+            docs.append(run_json(capsys, "cex", "certify", "--m", m, "--blocks", blocks)[1])
+        assert docs[0]["records"] == docs[1]["records"]
+        assert cex.PRECISION == 128 and docs[1]["config"]["precision"] == 128
+
+    def test_precision_is_not_a_flag(self, capsys):
+        assert main(["--precision", "128", "cex", "plan", "--m", "1,16"]) == 1
+        assert capsys.readouterr().err.startswith("usage: rlab")
 
     def test_plan_at_plan_scale(self, capsys):
         code, doc = run_json(capsys, "cex", "plan", "--m", "1,16,524304")
@@ -349,8 +368,8 @@ BAD_FILES = {
     "khintchine --n 0",
     "equiv --space lp:2 --weight const:1 --n 0",
     "multiplicator --space lp:1 --values 1,0 --n 0",
-    "--precision 0 cex certify --m 1,16 --blocks 2",
-    "--precision 79 cex certify --m 1,16 --blocks 2",
+    "coeffs --values 1,2 --n -1",
+    "project --values 1,2 --n -3",
 ])
 def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
     # an unreadable or malformed input file or literal is a validation error

@@ -59,6 +59,17 @@ def cells_of(f: StepFunction, level: int) -> list[F]:
     return out
 
 
+def sign_sums(f: StepFunction, n: int) -> list[F]:
+    """c_k = integral of f r_k, k = 1..n, summed cell by cell."""
+    level = f.level
+    cells = cells_of(f, level)
+    return [
+        sum((v * sign(k, j, level) for j, v in enumerate(cells)), F(0)) / 2**level
+        if k <= level else F(0)
+        for k in range(1, n + 1)
+    ]
+
+
 def test_both_sides_of_the_guard_are_drawn():
     assert rademacher_sum(PAST_GUARD)._int_form is None
     assert rademacher_sum(UNDER_GUARD)._int_form is not None
@@ -103,14 +114,7 @@ def test_algebra_is_cellwise(f, g):
 @given(step_functions())
 @example(rademacher_sum(PAST_GUARD))
 def test_coefficients_are_sign_sums(f):
-    level = f.level
-    cells = cells_of(f, level)
-    expected = [
-        sum((v * sign(k, j, level) for j, v in enumerate(cells)), F(0)) / 2**level
-        if k <= level else F(0)
-        for k in range(1, level + 3)
-    ]
-    assert list(coefficients(f, level + 2)) == expected
+    assert list(coefficients(f, f.level + 2)) == sign_sums(f, f.level + 2)
 
 
 @st.composite
@@ -165,6 +169,14 @@ def test_moments_past_the_guard(f):
         moment = sum((abs(v) ** p for v in cells), F(0)) / 2**f.level
         assert f.abs_moment(p) == moment
         assert Lp(F(p)).norm(f) == float(moment) ** (1.0 / p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(past_guard(), st.integers(1, 12))
+@example(FLOAT_TIE, 6)
+@example(OVERFLOW, 3)
+def test_coefficients_past_the_guard(f, n):
+    assert list(coefficients(f, n)) == sign_sums(f, n)
 
 
 @settings(max_examples=40, deadline=None)

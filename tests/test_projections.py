@@ -82,7 +82,7 @@ class TestProject:
     @settings(deadline=None, max_examples=40)
     @given(step_functions, step_functions, st.integers(min_value=1, max_value=6))
     def test_self_adjoint(self, f, g, n):
-        assert project(f, n).inner(g) == f.inner(project(g, n))
+        assert (project(f, n) * g).integral() == (f * project(g, n)).integral()
 
 
 class TestKhintchine:

@@ -268,6 +268,22 @@ def test_lp_norm_scales_by_powers_of_two(p):
             assert abs(got - want) <= (p > 1) * math.ulp(want), (k, got, want)
 
 
+@pytest.mark.parametrize("M", [PowerOrlicz(1.5), PowerOrlicz(2.0), ExpPowerOrlicz(0.5),
+                               ExpPowerOrlicz(1.0), ExpPowerOrlicz(2.0)], ids=lambda M: M.label)
+def test_orlicz_norm_scales_by_powers_of_two(M):
+    """norm(2^k f) = 2^k norm(f) bit for bit, for k in [-1000, 1000] with a
+    normal result: the bisection runs on f scaled by a power of two chosen
+    from max|f|, so it sees the same floats for every k."""
+    X = OrliczSpace(M)
+    for f in (FAMILY_F, make_step(2, [F(1, 3), F(-7, 5), 0, F(22, 7)])):
+        base = norm(X, f)
+        for k in [*range(-1000, 1001, 40), -1, 1]:
+            if not -1021 <= math.frexp(base)[1] + k <= 1024:
+                continue  # 2^k norm(f) is not a normal float
+            got = norm(X, f.scale(F(2) ** k))
+            assert got == math.ldexp(base, k), (k, got, base)
+
+
 class TestLogPowCumulative:
     # q + 1 half-integer (0.5, 1.5), integer (1, 2: one and two recurrence
     # steps) and neither (0.75, through mpmath)
