@@ -27,7 +27,7 @@ from .projections import (
     khintchine_check,
     multiplicator_norm,
     project,
-    projection_norm_profile,
+    projection_norm,
     theorem_predicates,
 )
 from .rearrangement import decreasing_rearrangement, distribution, equimeasurable
@@ -145,9 +145,9 @@ def _multiplicator(rep: Report, args) -> None:
 def _projnorm(rep: Report, args) -> None:
     X = parse_space(args.space)
     w = parse_weight(args.weight)
-    ns = _list("--n-list", int, args.n_list)
-    for n, val in projection_norm_profile(X, w, ns, args.trials, args.seed):
-        rep.add(f"lower_bound[n={n}]", val, method="optimizer-lower")
+    for n in _list("--n-list", _int_at_least("--n-list", 0), args.n_list):
+        rep.add(f"lower_bound[n={n}]", projection_norm(X, w, n, args.trials, args.seed),
+                method="optimizer-lower")
 
 
 def _theorems(rep: Report, args) -> None:

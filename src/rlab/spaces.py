@@ -86,6 +86,20 @@ def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
     return cells
 
 
+def _log2_max(f: StepFunction) -> int | None:
+    """e with max|f| 2**-e in (1/2, 2), None for f = 0; from integer bit
+    lengths, not Fraction comparisons."""
+    return max((v.numerator.bit_length() - v.denominator.bit_length() for _, v in f.runs if v),
+               default=None)
+
+
+def _scaled_runs(f: StepFunction, e: int):
+    """(length, |v| 2**-e) for each nonzero run of f, each value rounded
+    once: int / int divides correctly rounded."""
+    up, down = max(-e, 0), max(e, 0)
+    return ((length, (abs(v.numerator) << up) / (v.denominator << down)) for length, v in f.runs if v)
+
+
 def _loghalf(t: float) -> float:
     return math.sqrt(math.log(math.e / t))
 
@@ -171,8 +185,19 @@ class Lp(SpaceSpec):
             return math.ldexp(((num << q * k) / den) ** (1.0 / q), -k)
         pf = float(p)
         width = 1.0 / 2**f.level
-        total = math.fsum(length * abs(float(value)) ** pf for length, value in f.runs) * width
-        return total ** (1.0 / pf)
+
+        def moment(values) -> float:
+            return math.fsum(length * v**pf for length, v in values) * width
+
+        total = moment((length, abs(float(v))) for length, v in f.runs)
+        if total >= sys.float_info.min:
+            return total ** (1.0 / pf)
+        # below the normal range: rerun on f scaled by an exact 2**-e, and
+        # scale the root back
+        e = _log2_max(f)
+        if e is None:
+            return 0.0
+        return math.ldexp(moment(_scaled_runs(f, e)) ** (1.0 / pf), e)
 
     def fundamental(self, t) -> float:
         return float(t) ** (1.0 / float(self.p))
@@ -314,12 +339,8 @@ class Marcinkiewicz(SpaceSpec):
         return Lorentz(self.phi.tilde())
 
     def contains_loghalf(self) -> bool:
-        ts = [2.0**-j for j in range(TRUNCATIONS[-1] + 1)]
-        sups = list(itertools.accumulate(
-            (self.phi(t) / t * logpow_cumulative(0.5, t) for t in ts), max, initial=0.0
-        ))
-        diverging, _ = divergence_trend([sups[jmax + 1] for jmax in TRUNCATIONS])
-        return not diverging
+        # log^(1/2)(e/t) is the kernel of the constant 1, whose f* is one cell
+        return not self.sym_kernel([(0.0, 1.0, 1.0)])["diverging"]
 
     def sym_kernel(self, cells) -> dict:
         # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
@@ -385,17 +406,12 @@ class OrliczSpace(SpaceSpec):
         in that range the result is its float, and a norm far below 1e-300
         or near the float maximum is found as well.
         """
-        # integer bit lengths, not Fraction comparisons: max|f| 2**-e lies in (1/2, 2)
-        e = max((v.numerator.bit_length() - v.denominator.bit_length() for _, v in f.runs if v),
-                default=None)
+        e = _log2_max(f)
         if e is None:
             return 0.0
         c = self.M.inverse(1.0)
         e -= math.frexp(c)[1]
-        # each |v| 2**-e rounded once: int / int divides correctly rounded
-        up, down = max(-e, 0), max(e, 0)
-        vals = [(length / 2**f.level, (abs(v.numerator) << up) / (v.denominator << down))
-                for length, v in f.runs if v]
+        vals = [(length / 2**f.level, v) for length, v in _scaled_runs(f, e)]
         top = max(v for _, v in vals)
         ms, vs = np.array(vals).T
 

@@ -139,7 +139,18 @@ class TestNorm:
     def test_orlicz_norm_below_1e300(self, capsys, space, values, expected):
         code, doc = run_json(capsys, "norm", "--space", space, "--values", values)
         assert code == 0
-        assert records(doc)["norm"]["value"] == pytest.approx(expected, rel=1e-9)
+        assert records(doc)["norm"]["value"] == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("values,expected", [
+        # each |v|**1.5, 1e-451.5, underflowed to 0.0
+        ("1e-301,1e-301", 1e-301),
+        # v chi_[0,1/2] has L_p norm v 2**(-1/p)
+        ("1e-310,0", 1e-310 * 2 ** (-2 / 3)),
+    ])
+    def test_lp_non_integer_p_below_float_range(self, capsys, values, expected):
+        code, doc = run_json(capsys, "norm", "--space", "lp:3/2", "--values", values)
+        assert code == 0
+        assert records(doc)["norm"]["value"] == pytest.approx(expected, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("space,method", [("lp:2", "exact"), ("lp:3/2", "evaluator")])
     def test_only_integer_p_is_labelled_exact(self, capsys, space, method):
@@ -203,8 +214,24 @@ class TestProjectionCommands:
             "--n-list", "2,4", "--trials", "3",
         )
         assert code == 0
-        recs = records(doc)
-        assert recs["lower_bound[n=2]"]["value"] == pytest.approx(1.0, abs=1e-9)
+        assert [rec["name"] for rec in doc["records"]] == ["lower_bound[n=2]", "lower_bound[n=4]"]
+        assert records(doc)["lower_bound[n=2]"]["value"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_projnorm_at_the_level_cap_in_1_gib(self):
+        # only r_1, chi_[0,1/2] and trials of level at most 10 are built, never r_26
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from rlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        res = run_python(
+            "-c", script, "projnorm", "--space", "lp:2", "--weight", "logpow:0.5:level=6",
+            "--n-list", "2,4,26", "--trials", "2", timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        values = [rec["value"] for rec in json.loads(res.stdout)["records"]]
+        assert values == [1.0, 1.0, 1.0]
 
     def test_theorems(self, capsys):
         code, doc = run_json(
@@ -360,6 +387,7 @@ BAD_FILES = {
     "projnorm --space lp:2 --weight const:1 --n-list 2,x",
     "projnorm --space lp:2 --weight const:1/0 --n-list 2",
     "projnorm --space lp:2 --weight step:nolevel.json --n-list 2",
+    "projnorm --space lp:2 --weight const:1 --n-list 2,-1",
     "cex plan --m 1,x",
     "cex build --m 1,x --blocks 1",
     "cex certify --m 1,x --blocks 1",

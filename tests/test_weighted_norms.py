@@ -1,5 +1,5 @@
 """The pruned Marcinkiewicz and float-filtered Orlicz norms, and the
-memoised projection profile, against the loops they replace.
+projection norm's short test family, against the loops they replace.
 
 The oracles below are the unpruned loops: a golden section on every cell of
 f*, and an Orlicz bisection that sums the exact per-term modular at every
@@ -22,14 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rlab
-from rlab.dyadic import StepFunction, make_step
+from rlab.dyadic import LEVEL_CAP, StepFunction, chi_prefix, make_step, rademacher
 from rlab.phi import ExpPowerOrlicz, LogPowerPhi, PowerOrlicz, PowerPhi, TildePhi
-from rlab.projections import (
-    _projection_test_functions,
-    project,
-    projection_norm,
-    projection_norm_profile,
-)
+from rlab.projections import _snap, project, projection_norm
 from rlab.spaces import ORLICZ_TOL, Marcinkiewicz, OrliczSpace, _golden_max, _star_cells
 from rlab.weighted import Weight, weighted_norm
 
@@ -211,8 +206,19 @@ def test_huge_and_tiny_values_on_the_cli():
 
 
 def projection_norm_oracle(X, w, n, trials, seed) -> float:
+    """The best ratio over the full family: r_1..r_{n+1}, the constant 1,
+    chi_[0,1/2] and the same seeded random functions."""
+    rng = np.random.default_rng(seed)
+    level = min(n + 2, 10)
+    fns = [rademacher(k) for k in range(1, n + 1)]
+    if n + 1 <= LEVEL_CAP:
+        fns.append(rademacher(n + 1))
+    fns += [StepFunction.constant(1), chi_prefix(F(1, 2))]
+    for _ in range(trials):
+        vals = rng.standard_normal(2**level)
+        fns.append(StepFunction.from_runs(level, ((1, _snap(v)) for v in vals)))
     best = 0.0
-    for f in _projection_test_functions(n, trials, seed):
+    for f in fns:
         denom = weighted_norm(X, w, f)
         if denom == 0.0:
             continue
@@ -220,14 +226,12 @@ def projection_norm_oracle(X, w, n, trials, seed) -> float:
     return best
 
 
-def test_projection_profile_equals_per_n_calls():
-    ns, trials, seed = (2, 4, 8), 2, 5
+def test_projection_norm_equals_the_full_family():
+    ns, trials, seed = (0, 1, 2, 4, 8), 2, 5
     # an increasing weight lifts chi_[0,1/2] above the r_k's ratio of 1
-    weights = (Weight.logpow(0.5, 6), Weight(make_step(2, [1, 2, 5, 8])))
+    weights = (Weight.logpow(0.5, 6), Weight(make_step(2, [1, 2, 5, 8])), Weight.constant(1))
     spaces = (Marcinkiewicz(PowerPhi(0.5)), OrliczSpace(ExpPowerOrlicz(2.0)))
     for X, w in itertools.product(spaces, weights):
-        profile = projection_norm_profile(X, w, ns, trials, seed)
-        singles = [(n, projection_norm(X, w, n, trials, seed)) for n in ns]
-        oracle = [(n, projection_norm_oracle(X, w, n, trials, seed)) for n in ns]
-        assert [(n, v.hex()) for n, v in profile] == [(n, v.hex()) for n, v in singles]
-        assert [(n, v.hex()) for n, v in profile] == [(n, v.hex()) for n, v in oracle]
+        short = [(n, projection_norm(X, w, n, trials, seed).hex()) for n in ns]
+        oracle = [(n, projection_norm_oracle(X, w, n, trials, seed).hex()) for n in ns]
+        assert short == oracle
