@@ -19,12 +19,7 @@ from .phi import (
     PowerPhi,
     TildePhi,
 )
-from .rearrangement import (
-    DistributionFn,
-    decreasing_rearrangement,
-    distribution,
-    equimeasurable,
-)
+from .rearrangement import decreasing_rearrangement, distribution, equimeasurable
 from .spaces import (
     ExpLp,
     Linfty,

@@ -91,10 +91,9 @@ def _norm(rep: Report, args) -> None:
 
 
 def _rearrange(rep: Report, args) -> None:
-    f = _load_fn(args)
-    rep.add("rearrangement", decreasing_rearrangement(f).to_json_dict(), method="exact")
-    breakpoints = [[str(v), str(m)] for v, m in distribution(f).breakpoints]
-    rep.add("distribution", breakpoints, method="exact")
+    star = decreasing_rearrangement(_load_fn(args))
+    rep.add("rearrangement", star.to_json_dict(), method="exact")
+    rep.add("distribution", [[str(v), str(m)] for v, m in distribution(star)], method="exact")
 
 
 def _khintchine(rep: Report, args) -> int | None:
@@ -154,8 +153,7 @@ def _theorems(rep: Report, args) -> None:
     X = parse_space(args.space)
     w = parse_weight(args.weight)
     for key, value in theorem_predicates(X, w, seed=args.seed).items():
-        if key not in ("space", "weight"):
-            rep.add(key, value, method="trend" if isinstance(value, dict) else "exact")
+        rep.add(key, value, method="trend" if isinstance(value, dict) else "exact")
 
 
 def _indices(rep: Report, args) -> None:

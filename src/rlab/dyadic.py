@@ -18,13 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    LengthMismatch,
-    LevelCapExceeded,
-    LevelTooLow,
-    NotPowerOfTwo,
-    TooLarge,
-)
+from .errors import BlockTooSmall, LengthMismatch, LevelCapExceeded, LevelTooLow, NotPowerOfTwo
 
 # the deepest dyadic grid any function, sum or block build may use
 LEVEL_CAP = 26
@@ -198,13 +192,6 @@ class StepFunction:
         lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
         return _IntForm(den, lengths, _ints(nums, top), top)
 
-    def values(self) -> list[Fraction]:
-        """Materialize the per-cell values at the function's own level."""
-        out: list[Fraction] = []
-        for length, value in self.runs:
-            out.extend([value] * length)
-        return out
-
     def values_at(self, level: int) -> list[Fraction]:
         if level < self.level:
             raise LevelTooLow(f"level {level} below function level {self.level}")
@@ -243,14 +230,8 @@ class StepFunction:
         """Exact integral of |f|**p for an integer p >= 1."""
         return Fraction(*self._moment_pair(p))
 
-    def abs_integral(self) -> Fraction:
-        return self.abs_moment(1)
-
     def sup_abs(self) -> Fraction:
         return max(abs(value) for _, value in self.runs)
-
-    def is_zero(self) -> bool:
-        return all(value == 0 for _, value in self.runs)
 
     def map(self, fn) -> "StepFunction":
         return StepFunction.from_runs(
@@ -263,9 +244,6 @@ class StepFunction:
     def scale(self, c) -> "StepFunction":
         c = Fraction(c)
         return self.map(lambda v: v * c)
-
-    def __neg__(self) -> "StepFunction":
-        return self.scale(-1)
 
     def _zip(self, other: "StepFunction", op) -> "StepFunction":
         """Cellwise op (operator.add, sub or mul) of two step functions."""
@@ -477,6 +455,6 @@ def hadamard_select(n: int) -> tuple[int, ...]:
 def single_negative_select(n: int) -> tuple[int, ...]:
     """Columns J2(n): the n rank-n cells whose pattern has exactly one -1."""
     if n < 2:
-        raise TooLarge(f"n must be >= 2, got {n}")
+        raise BlockTooSmall(f"n must be >= 2, got {n}")
     return tuple(sorted(1 + 2 ** (n - i) for i in range(1, n + 1)))
 

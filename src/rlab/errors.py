@@ -17,10 +17,6 @@ class LevelTooLow(RlabError):
     pass
 
 
-class TooLarge(RlabError):
-    pass
-
-
 class NotPowerOfTwo(RlabError):
     pass
 

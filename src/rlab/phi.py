@@ -20,15 +20,6 @@ class PhiFn:
         """The dual-generating function t / phi(t)."""
         return TildePhi(self)
 
-    def check_quasiconcave(self, grid_size: int = 40, tol: float = 1e-12) -> bool:
-        """phi nondecreasing and phi(t)/t nonincreasing on a dyadic grid."""
-        ts = [2.0**-j for j in range(grid_size, -1, -1)]
-        vals = [self(t) for t in ts]
-        ratios = [v / t for v, t in zip(vals, ts)]
-        inc = all(b >= a - tol for a, b in zip(vals, vals[1:]))
-        dec = all(b <= a + tol for a, b in zip(ratios, ratios[1:]))
-        return inc and dec and self(1e-14) >= -tol
-
 
 @dataclass(frozen=True)
 class PowerPhi(PhiFn):
@@ -51,13 +42,14 @@ class PowerPhi(PhiFn):
 
 @dataclass(frozen=True)
 class LogPowerPhi(PhiFn):
-    """phi(t) = log(e/t)**(-beta); increasing with phi(0+) = 0 for beta > 0."""
+    """phi(t) = log(e/t)**(-beta), 0 < beta <= 1: with L = log(e/t) >= 1,
+    d/dt[phi(t)/t] = t**-2 L**(-beta-1) (beta - L) is <= 0 on (0, 1] only then."""
 
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta <= 1:
+            raise ValueError(f"beta must be in (0,1], got {self.beta}")
 
     @property
     def label(self) -> str:
@@ -104,16 +96,6 @@ class OrliczFn:
     def inverse(self, v: float) -> float:
         raise NotImplementedError
 
-    def check_convex(self, grid_size: int = 30, tol: float = 1e-12) -> bool:
-        us = [0.1 * k for k in range(grid_size)]
-        vals = [self(u) for u in us]
-        diffs = [b - a for a, b in zip(vals, vals[1:])]
-        return (
-            abs(self(0.0)) <= tol
-            and all(d >= -tol for d in diffs)
-            and all(b >= a - tol for a, b in zip(diffs, diffs[1:]))
-        )
-
 
 @dataclass(frozen=True)
 class PowerOrlicz(OrliczFn):
@@ -122,7 +104,7 @@ class PowerOrlicz(OrliczFn):
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # NaN too
             raise ValueError(f"p must be >= 1, got {self.p}")
 
     @property
@@ -141,13 +123,14 @@ class PowerOrlicz(OrliczFn):
 
 @dataclass(frozen=True)
 class ExpPowerOrlicz(OrliczFn):
-    """M(u) = exp(u**p) - 1; generates the exponential-integrability space."""
+    """M(u) = exp(u**p) - 1, p >= 1: M'' = p u**(p-2) e**(u**p) ((p-1) + p u**p)
+    is >= 0 for every u > 0 only then."""
 
     p: float
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not self.p >= 1:  # NaN too
+            raise ValueError(f"p must be >= 1, got {self.p}")
 
     @property
     def label(self) -> str:

@@ -97,10 +97,6 @@ def _snap(v: float) -> Fraction:
     return Fraction(round(float(v) * (1 << _SNAP_BITS)), 1 << _SNAP_BITS)
 
 
-def _float_vector_to_fractions(vec: np.ndarray) -> tuple[Fraction, ...]:
-    return tuple(_snap(v) for v in vec)
-
-
 def _unit_vectors(n: int, trials: int, seed) -> list[tuple[Fraction, ...]]:
     rng = np.random.default_rng(seed)
     out = []
@@ -110,7 +106,7 @@ def _unit_vectors(n: int, trials: int, seed) -> list[tuple[Fraction, ...]]:
         if nrm == 0.0:
             v = np.ones(n)
             nrm = math.sqrt(n)
-        out.append(_float_vector_to_fractions(v / nrm))
+        out.append(tuple(_snap(x) for x in v / nrm))
     return out
 
 
@@ -136,7 +132,7 @@ def equivalence_constants(X: SpaceSpec, w: Weight, n: int, trials: int, seed) ->
     vals = []
     for a in _unit_vectors(n, trials, seed) + _structured_unit_vectors(n):
         vals.append(weighted_norm(X, w, rademacher_sum(a)))
-    return {"cLow": min(vals), "cHigh": max(vals), "n": n, "trials": trials}
+    return {"cLow": min(vals), "cHigh": max(vals)}
 
 
 def _ratio_objective(X: SpaceSpec, f: StepFunction, a: Sequence[float]) -> float:
@@ -165,10 +161,6 @@ def _indicator_profile(f: StepFunction, n: int):
             js.extend(range(cell, cell + length * rep))
         cell += length * rep
     return c, js
-
-
-def _hadamard_orthogonal(n: int, js: list[int]) -> bool:
-    return len(js) == n and n <= 16 and signs_orthogonal(n, js)
 
 
 def multiplicator_norm(
@@ -237,7 +229,7 @@ def multiplicator_norm(
     if isinstance(X, Lp) and X.p == 1 and profile is not None and n <= 16:
         c, js = profile
         m_a = len(js) * 2.0**-n
-        head = n * 2.0**-n if _hadamard_orthogonal(n, js) else math.sqrt(m_a)
+        head = n * 2.0**-n if len(js) == n and signs_orthogonal(n, js) else math.sqrt(m_a)
         upper = float(c) * math.sqrt(2.0) * (head + m_a)
         upper_method = "exact-chain+tail-bound"
     elif contains_loghalf(X):
@@ -290,8 +282,6 @@ def theorem_predicates(X: SpaceSpec, w: Weight, n: int = 8, budget: int = 80, se
     """
     g_subset = contains_loghalf(X)
     report: dict = {
-        "space": X.label,
-        "weight": w.label,
         "g_subset_proxy": {
             "value": bool(g_subset),
             "method": "closed-form/trend membership of log^(1/2)(e/t)",
@@ -317,7 +307,7 @@ def theorem_predicates(X: SpaceSpec, w: Weight, n: int = 8, budget: int = 80, se
     }
     try:
         dual = X.dual()
-        dual_bracket = multiplicator_norm(dual, w.reciprocal_fn(), n, budget, seed)
+        dual_bracket = multiplicator_norm(dual, w.fn.reciprocal(), n, budget, seed)
         report["inv_w_in_mult_dual"] = {
             "lower": dual_bracket.lower,
             "upper": dual_bracket.upper,

@@ -2,50 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import StepFunction
 
 
-@dataclass(frozen=True)
-class DistributionFn:
-    """n_f(tau) = m{ |f| > tau } as a right-continuous step function.
-
-    breakpoints holds (tau, measure) with tau strictly decreasing and
-    measure nondecreasing along the list; n_f(tau) is the measure attached
-    to the largest threshold <= tau's bracket, 0 beyond the top value.
-    """
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-
-    def __call__(self, tau) -> Fraction:
-        tau = Fraction(tau)
-        result = Fraction(0)
-        # breakpoints are (value v, measure of {|f| >= v} cumulated from top);
-        # n_f(tau) = measure of cells with |value| > tau
-        for v, cum in self.breakpoints:
-            if v > tau:
-                result = cum
-            else:
-                break
-        return result
-
-
-def distribution(f: StepFunction) -> DistributionFn:
-    width = Fraction(1, 2**f.level)
-    mass: dict[Fraction, Fraction] = {}
-    for length, value in f.runs:
-        v = abs(value)
-        mass[v] = mass.get(v, Fraction(0)) + length * width
-    levels = sorted(mass, reverse=True)
-    cum = Fraction(0)
-    pts = []
-    for v in levels:
-        cum += mass[v]
-        pts.append((v, cum))
-    return DistributionFn(tuple(pts))
+def distribution(star: StepFunction) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Breakpoints (v, m{|f| >= v}) of f's distribution, v strictly
+    decreasing, read off its decreasing rearrangement star = f*: canonical
+    f* has one run per distinct |value|, in decreasing order."""
+    width = Fraction(1, 2**star.level)
+    measures = itertools.accumulate(length * width for length, _ in star.runs)
+    return tuple(zip((value for _, value in star.runs), measures))
 
 
 def decreasing_rearrangement(f: StepFunction) -> StepFunction:

@@ -60,15 +60,12 @@ def logpow_cumulative(q: float, t: float) -> float:
     return math.e * _upper_gamma(q + 1.0, math.log(math.e / t))
 
 
-def divergence_trend(values: list[float]) -> tuple[bool, list[float]]:
+def divergence_trend(values: list[float]) -> bool:
     """Doubling-truncation certificate: diverging iff the last three doublings
     each grow by more than TREND_GROWTH relative."""
-    growths = []
-    for a, b in zip(values, values[1:]):
-        growths.append((b - a) / a if a > 0 else (math.inf if b > 0 else 0.0))
-    if len(growths) < 3:
-        return False, growths
-    return all(g > TREND_GROWTH for g in growths[-3:]), growths
+    growths = [(b - a) / a if a > 0 else (math.inf if b > 0 else 0.0)
+               for a, b in zip(values, values[1:])]
+    return len(growths) >= 3 and all(g > TREND_GROWTH for g in growths[-3:])
 
 
 def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
@@ -269,14 +266,13 @@ class Lorentz(SpaceSpec):
             (_loghalf(2.0 ** -(j - 1)) * (phis[j - 1] - phis[j]) for j in range(1, len(phis))),
             initial=0.0,
         ))
-        diverging, _ = divergence_trend([sums[jmax] for jmax in TRUNCATIONS])
-        return not diverging
+        return not divergence_trend([sums[jmax] for jmax in TRUNCATIONS])
 
     def sym_kernel(self, cells) -> dict:
         partials = [
             _stieltjes_weighted(cells, self.phi, 2.0**-j) for j in TRUNCATIONS
         ]
-        diverging, _ = divergence_trend(partials)
+        diverging = divergence_trend(partials)
         return {
             "value": math.inf if diverging else partials[-1],
             "diverging": diverging,
@@ -366,7 +362,7 @@ class Marcinkiewicz(SpaceSpec):
         grid = [objective(2.0**-j) for j in range(TRUNCATIONS[-1] + 1)]
         edges = [objective(b) for _, b, _ in cells]
         sups = [max(grid[: jmax + 1] + edges) for jmax in TRUNCATIONS]
-        diverging, _ = divergence_trend(sups)
+        diverging = divergence_trend(sups)
         return {
             "value": math.inf if diverging else sups[-1],
             "diverging": diverging,
@@ -482,9 +478,10 @@ class OrliczSpace(SpaceSpec):
 class ExpLp(SpaceSpec):
     """Zygmund space Exp L^p, evaluated through its Marcinkiewicz sup form.
 
-    The sup form sup x*(t) log^(-1/p)(e/t) is an equivalent norm; reports
-    carry the "equivalent-norm convention" tag.  The Luxemburg form through
-    exp(u^p)-1 is OrliczSpace(ExpPowerOrlicz(p)).
+    The sup form sup x*(t) log^(-1/p)(e/t) is a quasi-norm, equivalent to
+    the Luxemburg norm of OrliczSpace(ExpPowerOrlicz(p)):
+    ||f + g|| <= (1 + ln 2)^(1/p) (||f|| + ||g||).  p >= 1, as phi_p =
+    log^(-1/p) is quasi-concave only then (see LogPowerPhi).
     """
 
     p: Fraction
@@ -493,8 +490,8 @@ class ExpLp(SpaceSpec):
 
     def __post_init__(self):
         p = Fraction(self.p)
-        if p <= 0:
-            raise InvalidSpec(f"p must be positive, got {p}")
+        if p < 1:
+            raise InvalidSpec(f"p must be >= 1, got {p}")
         object.__setattr__(self, "p", p)
 
     def params(self) -> dict:

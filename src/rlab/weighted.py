@@ -22,9 +22,6 @@ class Weight:
         if any(value <= 0 for _, value in self.fn.runs):
             raise NonPositiveWeight("weight must be positive on every cell")
 
-    def reciprocal_fn(self) -> StepFunction:
-        return self.fn.reciprocal()
-
     @staticmethod
     def constant(c) -> "Weight":
         c = Fraction(c)

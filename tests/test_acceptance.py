@@ -15,6 +15,7 @@ import pytest
 from rlab import counterexample as cex
 from rlab.cli import main as cli_main
 from rlab.dyadic import (
+    StepFunction,
     chi_prefix,
     hadamard_select,
     make_step,
@@ -49,7 +50,7 @@ def rand_step(rng, level: int):
 def rand_nonzero_step(rng, level: int):
     while True:
         f = rand_step(rng, level)
-        if not f.is_zero():
+        if f != StepFunction.zero():
             return f
 
 
@@ -226,10 +227,10 @@ def test_criterion_7_explicit_build_equimeasurable(capsys):
 
     chi1 = indicator(pl.N[0], built["B"][0])
     chi2 = indicator(pl.N[1], built["B"][1])
-    ok &= (chi1 * chi2).is_zero()
+    ok &= chi1 * chi2 == StepFunction.zero()
     d1 = indicator(pl.N[0], built["D"][0])
     d2 = indicator(pl.N[1], built["D"][1])
-    ok &= (d1 * d2).is_zero()
+    ok &= d1 * d2 == StepFunction.zero()
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     announce(capsys, 7, "relaxed two-block build is equimeasurable, blocks disjoint", ok)

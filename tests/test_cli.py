@@ -112,14 +112,15 @@ class TestNorm:
         assert err.startswith("numeric failure:") and "Traceback" not in err
 
     def test_orlicz_norm_past_float_range_exit_2(self):
-        # the modular at the largest float is already above 1
-        res = run_child("norm", "--space", "orlicz:exp:0.5", "--values", "1e308,1e308")
+        # the norm 1.5e308 / M^-1(1) = 1.5e308 / (log 2)^(2/3) passes the float
+        # range: the modular at the largest float is already above 1
+        res = run_child("norm", "--space", "orlicz:exp:1.5", "--values", "1.5e308,1.5e308")
         assert res.returncode == 2
         assert res.stderr.startswith("numeric failure:") and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("space,M,values,mass", [
         # top / M^-1(1) overflows, the norm does not
-        ("orlicz:exp:0.5", ExpPowerOrlicz(0.5), "1e308,0,0,0,0,0,0,0", 8),
+        ("orlicz:exp:1.5", ExpPowerOrlicz(1.5), "1.5e308,0,0,0,0,0,0,0", 8),
         # lo + hi of the bisection passes the float range
         ("orlicz:pow:2", PowerOrlicz(2.0), "1e308,1e308", 1),
     ])
@@ -128,7 +129,8 @@ class TestNorm:
         res = run_child("norm", "--space", space, "--values", values)
         assert res.returncode == 0, res.stderr
         value = records(json.loads(res.stdout))["norm"]["value"]
-        assert value == pytest.approx(1e308 / M.inverse(mass), rel=1e-9)
+        v = float(values.split(",")[0])
+        assert value == pytest.approx(v / M.inverse(mass), rel=1e-9)
 
     @pytest.mark.parametrize("space,values,expected", [
         # the modular search stopped below 1e-300 and printed 0.0
@@ -393,6 +395,13 @@ BAD_FILES = {
     "cex certify --m 1,x --blocks 1",
     "indices --phi pow",
     "indices --phi pow:x",
+    # phi and M outside their exact domains: quasi-concave, convex
+    "norm --space orlicz:exp:0.0001 --values 1,1",
+    "norm --space explp:1/2 --values 1,1",
+    "norm --space lorentz:logpow:2 --values 1,1",
+    "indices --phi logpow:1.5",
+    "norm --space orlicz:exp:nan --values 1,2",
+    "norm --space orlicz:pow:nan --values 1,2",
     "khintchine --n 0",
     "equiv --space lp:2 --weight const:1 --n 0",
     "multiplicator --space lp:1 --values 1,0 --n 0",
@@ -409,6 +418,20 @@ def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("space,expected", [
+    # beta = 1 and p = 1 are the edges of the exact domains; the constant 1
+    # has norm phi(1) = 1, and 1 / M^-1(1) = 1 / log 2 in the Orlicz space
+    ("lorentz:logpow:1", 1.0),
+    ("marcinkiewicz:logpow:1", 1.0),
+    ("explp:1", 1.0),
+    ("orlicz:exp:1", 1 / math.log(2)),
+])
+def test_domain_edges_accepted(capsys, space, expected):
+    code, doc = run_json(capsys, "norm", "--space", space, "--values", "1,1")
+    assert code == 0
+    assert records(doc)["norm"]["value"] == pytest.approx(expected, rel=1e-9)
 
 
 def readme_commands() -> list[str]:

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from rlab import counterexample as cex
-from rlab.dyadic import indicator
+from rlab.dyadic import StepFunction, indicator
 from rlab.errors import (
     BlockTooSmall,
     GrowthConditionViolated,
@@ -76,10 +76,10 @@ class TestBuildExplicit:
         chi2 = indicator(pl.N[1], built["B"][1])
         assert chi1.integral() == F(4, 2**4)
         assert chi2.integral() == F(8, 2**12)
-        assert (chi1 * chi2).is_zero()  # disjoint
+        assert chi1 * chi2 == StepFunction.zero()  # disjoint
         d1 = indicator(pl.N[0], built["D"][0])
         d2 = indicator(pl.N[1], built["D"][1])
-        assert (d1 * d2).is_zero()
+        assert d1 * d2 == StepFunction.zero()
 
     def test_block_heights_match_alpha(self):
         pl = cex.plan([2], strict=False)

@@ -22,6 +22,7 @@ from rlab.dyadic import (
     single_negative_select,
 )
 from rlab.errors import (
+    BlockTooSmall,
     LengthMismatch,
     LevelCapExceeded,
     LevelTooLow,
@@ -47,7 +48,7 @@ step_functions = st.integers(min_value=0, max_value=6).flatmap(
 class TestConstruction:
     def test_constant_identity(self):
         f = make_step(0, [1])
-        assert f.level == 0 and f.values() == [F(1)]
+        assert f.level == 0 and f.values_at(0) == [F(1)]
 
     def test_sibling_merge_drops_level(self):
         f = make_step(1, [1, 1])
@@ -57,7 +58,7 @@ class TestConstruction:
     def test_already_canonical_is_unchanged(self):
         f = make_step(2, [3, 1, 2, 3])
         assert f.level == 2
-        assert f.values() == [F(3), F(1), F(2), F(3)]
+        assert f.values_at(2) == [F(3), F(1), F(2), F(3)]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -71,7 +72,7 @@ class TestConstruction:
         chi = chi_prefix(F(1, 4))
         assert chi.values_at(2) == [F(1), F(0), F(0), F(0)]
         assert indicator(2, [1]) == chi
-        assert indicator(2, []).is_zero()
+        assert indicator(2, []) == StepFunction.zero()
         with pytest.raises(LengthMismatch):
             indicator(2, [5])
         with pytest.raises(LengthMismatch):
@@ -83,7 +84,7 @@ class TestRademacher:
         assert rademacher(1).values_at(2) == [F(1), F(1), F(-1), F(-1)]
 
     def test_r2(self):
-        assert rademacher(2).values() == [F(1), F(-1), F(1), F(-1)]
+        assert rademacher(2).values_at(2) == [F(1), F(-1), F(1), F(-1)]
 
     def test_r2_refined(self):
         assert rademacher(2).values_at(3) == [
@@ -103,7 +104,7 @@ class TestRademacher:
         assert rademacher_sum([1, 1]).values_at(2) == [F(2), F(0), F(0), F(-2)]
 
     def test_sum_zero(self):
-        assert rademacher_sum([0, 0]).is_zero()
+        assert rademacher_sum([0, 0]) == StepFunction.zero()
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
     def test_orthonormality(self, j, k):
@@ -174,6 +175,10 @@ class TestSelections:
         with pytest.raises(NotPowerOfTwo):
             hadamard_select(3)
 
+    def test_single_negative_needs_two_cells(self):
+        with pytest.raises(BlockTooSmall, match="n must be >= 2, got 1"):
+            single_negative_select(1)
+
     def test_single_negative_n2(self):
         assert single_negative_select(2) == (2, 3)
         for j in single_negative_select(2):
@@ -206,12 +211,12 @@ class TestAlgebra:
 
     def test_scale_and_abs(self):
         f = make_step(1, [-2, 3])
-        assert f.scale(F(1, 2)).values() == [F(-1), F(3, 2)]
-        assert abs(f).values() == [F(2), F(3)]
+        assert f.scale(F(1, 2)).values_at(1) == [F(-1), F(3, 2)]
+        assert abs(f).values_at(1) == [F(2), F(3)]
 
     def test_reciprocal(self):
         f = make_step(1, [2, 4])
-        assert f.reciprocal().values() == [F(1, 2), F(1, 4)]
+        assert f.reciprocal().values_at(1) == [F(1, 2), F(1, 4)]
         with pytest.raises(ZeroDivisionError):
             make_step(1, [1, 0]).reciprocal()
 

@@ -84,7 +84,7 @@ def test_rademacher_sum_cells_and_l1(a):
     s = rademacher_sum(a)
     expected = [sum((ak * sign(k, j, n) for k, ak in enumerate(a, 1)), F(0)) for j in range(2**n)]
     assert cells_of(s, n) == expected
-    assert rademacher_sum_l1_exact(a) == s.abs_integral() == sum(map(abs, expected), F(0)) / 2**n
+    assert rademacher_sum_l1_exact(a) == s.abs_moment(1) == sum(map(abs, expected), F(0)) / 2**n
 
 
 @settings(max_examples=60, deadline=None)

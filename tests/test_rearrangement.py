@@ -20,41 +20,41 @@ step_functions = st.integers(min_value=0, max_value=6).flatmap(
 )
 
 
+def breakpoints(f):
+    return distribution(decreasing_rearrangement(f))
+
+
 class TestDistribution:
     def test_example_three_quarters(self):
-        nf = distribution(make_step(2, [3, 1, 2, 3]))
-        assert nf(F(3, 2)) == F(3, 4)
+        assert breakpoints(make_step(2, [3, 1, 2, 3])) == ((3, F(1, 2)), (2, F(3, 4)), (1, 1))
 
     def test_zero_function(self):
-        nf = distribution(StepFunction.zero())
-        assert nf(0) == 0 and nf(F(5)) == 0
+        assert breakpoints(StepFunction.zero()) == ((0, 1),)
 
     def test_indicator(self):
-        nf = distribution(chi_prefix(F(1, 2)))
-        assert nf(F(1, 2)) == F(1, 2)
-        assert nf(F(1)) == 0
+        assert breakpoints(chi_prefix(F(1, 2))) == ((1, F(1, 2)), (0, 1))
 
     def test_uses_absolute_value(self):
-        nf = distribution(make_step(1, [-2, 1]))
-        assert nf(F(3, 2)) == F(1, 2)
+        assert breakpoints(make_step(1, [-2, 1])) == ((2, F(1, 2)), (1, 1))
 
-    @given(step_functions, st.fractions(min_value=0, max_value=10, max_denominator=8))
-    def test_matches_direct_count(self, f, tau):
+    @given(step_functions)
+    def test_matches_direct_count(self, f):
         width = F(1, 2**f.level)
-        direct = sum(
-            (length * width for length, v in f.runs if abs(v) > tau), F(0)
-        )
-        assert distribution(f)(tau) == direct
+        pts = breakpoints(f)
+        for v, m in pts:
+            assert m == sum((length * width for length, u in f.runs if abs(u) >= v), F(0))
+        assert all(a > b for (a, _), (b, _) in zip(pts, pts[1:]))
+        assert pts[-1][1] == 1
 
 
 class TestRearrangement:
     def test_sort_example(self):
         star = decreasing_rearrangement(make_step(2, [3, 1, 2, 3]))
-        assert star.values() == [F(3), F(3), F(2), F(1)]
+        assert star.values_at(star.level) == [F(3), F(3), F(2), F(1)]
 
     def test_absolute_value_first(self):
         star = decreasing_rearrangement(make_step(1, [-2, 1]))
-        assert star.values() == [F(2), F(1)]
+        assert star.values_at(star.level) == [F(2), F(1)]
 
     def test_rademacher_pair(self):
         star = decreasing_rearrangement(rademacher_sum([1, 1]))
@@ -62,12 +62,12 @@ class TestRearrangement:
 
     @given(step_functions)
     def test_l1_preserved(self, f):
-        assert decreasing_rearrangement(f).integral() == f.abs_integral()
+        assert decreasing_rearrangement(f).integral() == f.abs_moment(1)
 
     @given(step_functions)
     def test_nonincreasing_and_idempotent(self, f):
         star = decreasing_rearrangement(f)
-        vals = star.values()
+        vals = star.values_at(star.level)
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert decreasing_rearrangement(star) == star
 

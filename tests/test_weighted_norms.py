@@ -31,7 +31,7 @@ from rlab.weighted import Weight, weighted_norm
 PHIS = [PowerPhi(0.5), PowerPhi(0.3), PowerPhi(1.0), LogPowerPhi(0.5),
         # the dual phi of a Lorentz space: its cells can peak inside
         TildePhi(LogPowerPhi(0.5))]
-MS = [ExpPowerOrlicz(0.5), ExpPowerOrlicz(1.0), ExpPowerOrlicz(2.0),
+MS = [ExpPowerOrlicz(1.5), ExpPowerOrlicz(1.0), ExpPowerOrlicz(2.0),
       PowerOrlicz(1.5), PowerOrlicz(2.0)]
 
 
@@ -59,7 +59,7 @@ def exact_modular(M, f: StepFunction, lam: float) -> float:
 
 
 def orlicz_oracle(M, f: StepFunction) -> float:
-    if f.is_zero():
+    if f == StepFunction.zero():
         return 0.0
     hi = float(f.sup_abs()) / M.inverse(1.0)
     lo = hi
@@ -158,7 +158,7 @@ def test_orlicz_matches_exact_bisection(M, f):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([1.0, -1.0]), st.sampled_from([0.5, 1.0, 2.0]), step_functions())
+@given(st.sampled_from([1.0, -1.0]), st.sampled_from([1.5, 1.0, 2.0]), step_functions())
 @example(1.0, 2.0, ON_ROOT)
 @example(-1.0, 2.0, ON_ROOT)
 def test_orlicz_decisions_survive_a_last_bits_difference(sign, p, f):
