@@ -9,10 +9,12 @@ from fractions import Fraction
 from .dyadic import StepFunction
 
 
-def distribution(star: StepFunction) -> tuple[tuple[Fraction, Fraction], ...]:
+def distribution(f: StepFunction) -> tuple[tuple[Fraction, Fraction], ...]:
     """Breakpoints (v, m{|f| >= v}) of f's distribution, v strictly
-    decreasing, read off its decreasing rearrangement star = f*: canonical
-    f* has one run per distinct |value|, in decreasing order."""
+    decreasing, read off f*: canonical f* has one run per distinct |value|,
+    in decreasing order. f* itself gives the same breakpoints, and sorting
+    it again is linear."""
+    star = decreasing_rearrangement(f)
     width = Fraction(1, 2**star.level)
     measures = itertools.accumulate(length * width for length, _ in star.runs)
     return tuple(zip((value for _, value in star.runs), measures))

@@ -8,12 +8,14 @@ from rlab.phi import ExpPowerOrlicz, LogPowerPhi, PowerOrlicz, PowerPhi
 
 
 def quasiconcave_on_grid(phi, tol=1e-12) -> bool:
-    """phi nondecreasing and phi(t)/t nonincreasing on t = 2**-40 .. 1."""
+    """phi nondecreasing and phi(t)/t nonincreasing on t = 2**-40 .. 1,
+    and phi(1e-14) >= 0."""
     ts = [2.0**-j for j in range(40, -1, -1)]
     vals = [phi(t) for t in ts]
     ratios = [v / t for v, t in zip(vals, ts)]
     return (all(b >= a - tol for a, b in zip(vals, vals[1:]))
-            and all(b <= a + tol for a, b in zip(ratios, ratios[1:])))
+            and all(b <= a + tol for a, b in zip(ratios, ratios[1:]))
+            and phi(1e-14) >= -tol)
 
 
 def convex_on_grid(M, tol=1e-12) -> bool:

@@ -20,31 +20,31 @@ step_functions = st.integers(min_value=0, max_value=6).flatmap(
 )
 
 
-def breakpoints(f):
-    return distribution(decreasing_rearrangement(f))
-
-
 class TestDistribution:
     def test_example_three_quarters(self):
-        assert breakpoints(make_step(2, [3, 1, 2, 3])) == ((3, F(1, 2)), (2, F(3, 4)), (1, 1))
+        assert distribution(make_step(2, [3, 1, 2, 3])) == ((3, F(1, 2)), (2, F(3, 4)), (1, 1))
 
     def test_zero_function(self):
-        assert breakpoints(StepFunction.zero()) == ((0, 1),)
+        assert distribution(StepFunction.zero()) == ((0, 1),)
 
     def test_indicator(self):
-        assert breakpoints(chi_prefix(F(1, 2))) == ((1, F(1, 2)), (0, 1))
+        assert distribution(chi_prefix(F(1, 2))) == ((1, F(1, 2)), (0, 1))
+
+    def test_unsorted_input(self):
+        assert distribution(make_step(1, [1, 3])) == ((3, F(1, 2)), (1, 1))
 
     def test_uses_absolute_value(self):
-        assert breakpoints(make_step(1, [-2, 1])) == ((2, F(1, 2)), (1, 1))
+        assert distribution(make_step(1, [-2, 1])) == ((2, F(1, 2)), (1, 1))
 
     @given(step_functions)
     def test_matches_direct_count(self, f):
         width = F(1, 2**f.level)
-        pts = breakpoints(f)
+        pts = distribution(f)
         for v, m in pts:
             assert m == sum((length * width for length, u in f.runs if abs(u) >= v), F(0))
         assert all(a > b for (a, _), (b, _) in zip(pts, pts[1:]))
         assert pts[-1][1] == 1
+        assert distribution(decreasing_rearrangement(f)) == pts
 
 
 class TestRearrangement:
