@@ -3,15 +3,16 @@
 A StepFunction stores run-length encoded exact rational values on the grid
 of 2**level equal cells.  Canonical form merges equal adjacent runs and
 drops the level as far as possible, so function equality is equality of
-the canonical representations.
+the canonical representations.  A result of the integer kernel holds its
+values as integer numerators over one denominator until its runs are read.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -83,17 +84,21 @@ class _IntForm(NamedTuple):
     nums: np.ndarray  # value = num / den; int64 exactly when top fits
     top: int  # max |num|
 
-
-def _attach(f: "StepFunction", form: _IntForm) -> "StepFunction":
-    f.__dict__["_int_form"] = form if _within_guard(form.den) else None
-    return f
+    def runs(self) -> tuple[tuple[int, Fraction], ...]:
+        """The runs, with one Fraction made per distinct value."""
+        distinct, which = np.unique(self.nums, return_inverse=True)
+        fractions = [Fraction(v, self.den) for v in distinct.tolist()]
+        return tuple(zip(self.lengths.tolist(), map(fractions.__getitem__, which.tolist())))
 
 
 def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "StepFunction":
     """Canonical StepFunction with run values nums/den of the given lengths.
 
-    Equal adjacent runs merge and the level drops on the integers; a Fraction
-    is made once per distinct value.
+    Equal adjacent runs merge, the level drops and gcd(den, nums) is divided
+    out on the integers, so den is the LCM of the reduced denominators and
+    the integer form is unique.  Under the denominator guard that form is
+    the function, and its runs are made when first read; past it the runs
+    are made at once.
     """
     if len(nums) > 1:
         starts = np.flatnonzero(np.concatenate(([True], nums[1:] != nums[:-1])))
@@ -112,11 +117,18 @@ def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "
         den //= g
         # g passes int64 only when every num is 0
         nums = (nums if g.bit_length() <= _INT64_BITS else nums.astype(object)) // g
-    distinct, which = np.unique(nums, return_inverse=True)
-    top = max(-int(distinct[0]), int(distinct[-1]))
-    fractions = [Fraction(v, den) for v in distinct.tolist()]
-    f = StepFunction(level, tuple(zip(lengths.tolist(), map(fractions.__getitem__, which))))
-    return _attach(f, _IntForm(den, lengths, _ints(nums, top), top))
+    top = max(-int(nums.min()), int(nums.max()))
+    form = _IntForm(den, lengths, _ints(nums, top), top)
+    if not _within_guard(den):
+        return StepFunction(level, form.runs())
+    return StepFunction._of_ints(level, form)
+
+
+def _magnitude(run: tuple[int, Fraction]) -> tuple[float, Fraction]:
+    try:
+        return run[1].numerator / run[1].denominator, run[1]
+    except OverflowError:  # past every float, the exact value alone orders
+        return math.inf, run[1]
 
 
 def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np.ndarray, int]:
@@ -135,23 +147,64 @@ def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np
 
 
 def _length_sum(form: _IntForm, level: int, p: int | None) -> int:
-    """Exact sum over runs of length * num, or of length * |num|**p."""
-    bound = form.top if p is None else form.top**p
-    if (bound << level).bit_length() <= _INT64_BITS:
-        vals = form.nums if p is None else np.abs(form.nums) ** p
-        return int(vals @ form.lengths)
-    pairs = zip(form.lengths.tolist(), form.nums.tolist())
-    if p is None:
-        return sum(length * v for length, v in pairs)
-    return sum(length * abs(v) ** p for length, v in pairs)
+    """Exact sum over runs of length * num, or of length * |num|**p.
+
+    Each length * |num|**a, for a = p or else a = ceil(p / 2), is made in
+    int64 when it fits, and only its product by |num|**(p - a) and the sum
+    are Python ints.
+    """
+    vals, p = (form.nums, 1) if p is None else (np.abs(form.nums), p)
+    if (form.top**p << level).bit_length() <= _INT64_BITS:
+        return int(vals**p @ form.lengths)
+    longest = int(form.lengths.max())
+    for a in (p, (p + 1) // 2):
+        if (form.top**a * longest).bit_length() <= _INT64_BITS:
+            head = (vals**a * form.lengths).tolist()
+            return sum(head) if a == p else sum(map(operator.mul, head, (vals ** (p - a)).tolist()))
+    return sum(map(operator.mul, form.lengths.tolist(), map(pow, vals.tolist(), itertools.repeat(p))))
 
 
-@dataclass(frozen=True)
 class StepFunction:
-    """Canonical run-length encoded step function on 2**level dyadic cells."""
+    """Canonical run-length encoded step function on 2**level dyadic cells.
 
-    level: int
-    runs: tuple[tuple[int, Fraction], ...]
+    A function made by the integer kernel is its integer form, and `runs`
+    are built from it when first read.  Equality and hash are those of the
+    level and the canonical runs, whichever form holds them.
+    """
+
+    def __init__(self, level: int, runs: tuple[tuple[int, Fraction], ...]):
+        self.level = level
+        self.runs = runs
+
+    @staticmethod
+    def _of_ints(level: int, form: _IntForm) -> "StepFunction":
+        f = StepFunction.__new__(StepFunction)
+        f.level = level
+        f._int_form = form
+        return f
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, Fraction], ...]:
+        """The canonical (length, value) runs; only a kernel-made function
+        reaches this, on its first read."""
+        return self._int_form.runs()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepFunction):
+            return NotImplemented
+        if self.level != other.level:
+            return False
+        a, b = self._int_form, other._int_form
+        if a is None or b is None:
+            return self.runs == other.runs
+        # both forms are canonical, so equal functions have equal forms
+        return a.den == b.den and np.array_equal(a.lengths, b.lengths) and np.array_equal(a.nums, b.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.runs))
+
+    def __repr__(self) -> str:
+        return f"StepFunction(level={self.level}, runs={self.runs!r})"
 
     @staticmethod
     def from_runs(level: int, runs: Iterable[tuple[int, Fraction]]) -> "StepFunction":
@@ -177,10 +230,7 @@ class StepFunction:
 
     @cached_property
     def _int_form(self) -> _IntForm | None:
-        """Integer form for the exact kernel; None past the denominator guard.
-
-        Cached off the dataclass fields, so equality, hash and JSON ignore it.
-        """
+        """Integer form for the exact kernel; None past the denominator guard."""
         den = _common_denominator(value.denominator for _, value in self.runs)
         return None if den is None else self._form(den)
 
@@ -191,6 +241,44 @@ class StepFunction:
         top = max(map(abs, nums))
         lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
         return _IntForm(den, lengths, _ints(nums, top), top)
+
+    def sorted_abs(self) -> "StepFunction":
+        """f*: |f|'s runs sorted nonincreasing by a stable sort, canonical.
+
+        On the integer form this is a stable descending argsort of |nums|.
+        Past the guard the runs sort on (float(|v|), |v|): rounding is
+        monotone, so floats decide every pair they separate and the exact
+        value breaks their ties; a reverse sort stays stable.
+        """
+        form = self._int_form
+        if form is None:
+            runs = sorted(((length, abs(value)) for length, value in self.runs), key=_magnitude, reverse=True)
+            return StepFunction.from_runs(self.level, runs)
+        mags = np.abs(form.nums)
+        order = np.argsort(-mags, kind="stable")
+        return _from_ints(self.level, form.lengths[order], mags[order], form.den)
+
+    def abs_float_runs(self, e: int = 0) -> list[tuple[int, float]]:
+        """(length, |value| 2**-e) of each nonzero run, each value rounded
+        once: int / int divides correctly rounded."""
+        up, down = max(-e, 0), max(e, 0)
+        form = self._int_form
+        if form is None:
+            return [(length, (abs(v.numerator) << up) / (v.denominator << down)) for length, v in self.runs if v]
+        den = form.den << down
+        return [(length, (abs(num) << up) / den)
+                for length, num in zip(form.lengths.tolist(), form.nums.tolist()) if num]
+
+    def log2_max(self) -> int | None:
+        """e with max|f| 2**-e in (1/2, 2), None for f = 0: the largest
+        bit-length difference of a value's reduced numerator and denominator."""
+        form = self._int_form
+        if form is None:
+            return max((v.numerator.bit_length() - v.denominator.bit_length() for _, v in self.runs if v),
+                       default=None)
+        den = form.den
+        return max(((num // (g := math.gcd(num, den))).bit_length() - (den // g).bit_length()
+                    for num in form.nums.tolist() if num), default=None)
 
     def values_at(self, level: int) -> list[Fraction]:
         if level < self.level:
@@ -231,7 +319,10 @@ class StepFunction:
         return Fraction(*self._moment_pair(p))
 
     def sup_abs(self) -> Fraction:
-        return max(abs(value) for _, value in self.runs)
+        form = self._int_form
+        if form is None:
+            return max(abs(value) for _, value in self.runs)
+        return Fraction(form.top, form.den)
 
     def map(self, fn) -> "StepFunction":
         return StepFunction.from_runs(
@@ -386,17 +477,13 @@ def chi_prefix(t: Fraction) -> StepFunction:
     return indicator(level, range(1, cells + 1))
 
 
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
 def rademacher(k: int) -> StepFunction:
     """Rademacher function r_k = sign(sin 2^k pi t), constant on rank-k cells."""
     if k < 1:
         raise LevelTooLow(f"k must be >= 1, got {k}")
     _check_level(k)
-    f = StepFunction(k, ((1, _ONE), (1, _MINUS_ONE)) * 2 ** (k - 1))
     signs = np.tile(np.array([1, -1], dtype=np.int64), 2 ** (k - 1))
-    return _attach(f, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
+    return StepFunction._of_ints(k, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
 
 
 def rademacher_sum(a: Sequence) -> StepFunction:

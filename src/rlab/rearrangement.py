@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .dyadic import StepFunction
@@ -21,21 +20,8 @@ def distribution(f: StepFunction) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def decreasing_rearrangement(f: StepFunction) -> StepFunction:
-    """f*: |values| sorted nonincreasing; ties keep original order.
-
-    Sorting on (float(|v|), |v|) gives the stable exact order: rounding is
-    monotone, so floats decide every pair they separate and the exact value
-    breaks their ties; a reverse sort stays stable.
-    """
-    runs = sorted(((length, abs(value)) for length, value in f.runs), key=_magnitude, reverse=True)
-    return StepFunction.from_runs(f.level, runs)
-
-
-def _magnitude(run: tuple[int, Fraction]) -> tuple[float, Fraction]:
-    try:
-        return run[1].numerator / run[1].denominator, run[1]
-    except OverflowError:  # past every float, the exact value alone orders
-        return math.inf, run[1]
+    """f*: |values| sorted nonincreasing; ties keep original order."""
+    return f.sorted_abs()
 
 
 def equimeasurable(f: StepFunction, g: StepFunction) -> bool:

@@ -75,26 +75,10 @@ def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
     width = 2.0**-star.level
     cells = []
     pos = 0
-    for length, value in star.runs:
-        if value == 0:
-            break
-        cells.append((pos * width, (pos + length) * width, value.numerator / value.denominator))
+    for length, value in star.abs_float_runs():
+        cells.append((pos * width, (pos + length) * width, value))
         pos += length
     return cells
-
-
-def _log2_max(f: StepFunction) -> int | None:
-    """e with max|f| 2**-e in (1/2, 2), None for f = 0; from integer bit
-    lengths, not Fraction comparisons."""
-    return max((v.numerator.bit_length() - v.denominator.bit_length() for _, v in f.runs if v),
-               default=None)
-
-
-def _scaled_runs(f: StepFunction, e: int):
-    """(length, |v| 2**-e) for each nonzero run of f, each value rounded
-    once: int / int divides correctly rounded."""
-    up, down = max(-e, 0), max(e, 0)
-    return ((length, (abs(v.numerator) << up) / (v.denominator << down)) for length, v in f.runs if v)
 
 
 def _loghalf(t: float) -> float:
@@ -186,15 +170,15 @@ class Lp(SpaceSpec):
         def moment(values) -> float:
             return math.fsum(length * v**pf for length, v in values) * width
 
-        total = moment((length, abs(float(v))) for length, v in f.runs)
+        total = moment(f.abs_float_runs())
         if total >= sys.float_info.min:
             return total ** (1.0 / pf)
         # below the normal range: rerun on f scaled by an exact 2**-e, and
         # scale the root back
-        e = _log2_max(f)
+        e = f.log2_max()
         if e is None:
             return 0.0
-        return math.ldexp(moment(_scaled_runs(f, e)) ** (1.0 / pf), e)
+        return math.ldexp(moment(f.abs_float_runs(e)) ** (1.0 / pf), e)
 
     def fundamental(self, t) -> float:
         return float(t) ** (1.0 / float(self.p))
@@ -394,20 +378,19 @@ class OrliczSpace(SpaceSpec):
         returned float, is the one the exact modular gives.
 
         The norm is positively homogeneous, so the bisection runs on f scaled
-        by an exact 2**-e, taken from the largest bit-length difference of a
-        value's numerator and denominator and from M^-1(1), that puts its
-        first upper end max|f| / M^-1(1) in (1/2, 4); the result is scaled
-        back.  Scaling by a power of two commutes with
+        by an exact 2**-e, taken from StepFunction.log2_max and from M^-1(1),
+        that puts its first upper end max|f| / M^-1(1) in (1/2, 4); the result
+        is scaled back.  Scaling by a power of two commutes with
         every rounding in the normal range, so where the unscaled loop stays
         in that range the result is its float, and a norm far below 1e-300
         or near the float maximum is found as well.
         """
-        e = _log2_max(f)
+        e = f.log2_max()
         if e is None:
             return 0.0
         c = self.M.inverse(1.0)
         e -= math.frexp(c)[1]
-        vals = [(length / 2**f.level, v) for length, v in _scaled_runs(f, e)]
+        vals = [(length / 2**f.level, v) for length, v in f.abs_float_runs(e)]
         top = max(v for _, v in vals)
         ms, vs = np.array(vals).T
 
@@ -660,6 +643,6 @@ def parse_space(text: str) -> SpaceSpec:
             if parts[1] == "exp":
                 return OrliczSpace(ExpPowerOrlicz(float(parts[2])))
     except (IndexError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidSpec(f"malformed space descriptor {text!r}") from exc
+        raise InvalidSpec(f"malformed space descriptor {text!r}: {type(exc).__name__}: {exc}") from exc
     raise InvalidSpec(f"unknown space family {family!r}")
 

@@ -30,12 +30,9 @@ class Weight:
     @staticmethod
     def logpow(beta: float, level: int) -> "Weight":
         """w(t) = log(e/t)**beta sampled at rank-`level` cell midpoints, each
-        sample rounded to the nearest fraction with denominator <= 10**12."""
+        sample the exact dyadic value of its float."""
         n = 2**level
-        vals = [
-            Fraction(math.log(math.e / ((j + 0.5) / n)) ** beta).limit_denominator(10**12)
-            for j in range(n)
-        ]
+        vals = [Fraction(math.log(math.e / ((j + 0.5) / n)) ** beta) for j in range(n)]
         return Weight(make_step(level, vals), label=f"logpow:{beta}:level={level}")
 
 
@@ -72,9 +69,9 @@ def parse_weight(text: str) -> Weight:
                 key, _, val = extra.partition("=")
                 if key == "level":
                     level = int(val)
-            if level > LEVEL_CAP:
-                raise InvalidSpec(f"sampling level {level} exceeds cap")
+            if not 0 <= level <= LEVEL_CAP:
+                raise InvalidSpec(f"sampling level {level} outside 0..{LEVEL_CAP}")
             return Weight.logpow(beta, level)
     except (LookupError, TypeError, ValueError, ZeroDivisionError, OSError) as exc:
-        raise InvalidSpec(f"malformed weight descriptor {text!r}") from exc
+        raise InvalidSpec(f"malformed weight descriptor {text!r}: {type(exc).__name__}: {exc}") from exc
     raise InvalidSpec(f"unknown weight kind {kind!r}")

@@ -389,6 +389,7 @@ BAD_FILES = {
     "projnorm --space lp:2 --weight const:1 --n-list 2,x",
     "projnorm --space lp:2 --weight const:1/0 --n-list 2",
     "projnorm --space lp:2 --weight step:nolevel.json --n-list 2",
+    "projnorm --space lp:2 --weight logpow:0.5:level=-1 --n-list 2",
     "projnorm --space lp:2 --weight const:1 --n-list 2,-1",
     "cex plan --m 1,x",
     "cex build --m 1,x --blocks 1",
@@ -418,6 +419,20 @@ def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert REASONS.get(argv, "") in err
+
+
+# a malformed space or weight descriptor names the reason it was refused
+REASONS = {
+    "norm --space lp:1/0 --values 1,2": "'lp:1/0': ZeroDivisionError: Fraction(1, 0)",
+    "norm --space lorentz:logpow:2 --values 1,1":
+        "'lorentz:logpow:2': ValueError: beta must be in (0,1], got 2.0",
+    "norm --space orlicz:exp:nan --values 1,2": "'orlicz:exp:nan': ValueError: p must be >= 1, got nan",
+    "norm --space explp:1/2 --values 1,1": "error: p must be >= 1, got 1/2",
+    "projnorm --space lp:2 --weight const:1/0 --n-list 2": "'const:1/0': ZeroDivisionError: Fraction(1, 0)",
+    "projnorm --space lp:2 --weight step:nolevel.json --n-list 2": "'step:nolevel.json': KeyError: 'runs'",
+    "projnorm --space lp:2 --weight logpow:0.5:level=-1 --n-list 2": "error: sampling level -1 outside 0..26",
+}
 
 
 @pytest.mark.parametrize("space,expected", [

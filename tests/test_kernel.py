@@ -2,18 +2,21 @@
 
 Each oracle reads cell values off the public runs and does its arithmetic
 with Fractions.  Coefficients mix dyadic denominators with 40-bit odd ones,
-so functions fall on both sides of the common-denominator guard; the last
+so functions fall on both sides of the common-denominator guard; one
 group of tests draws only functions past it, where products, moments and
-rearrangements take the Fraction path.
+rearrangements take the Fraction path.  The last group checks that a
+function the kernel made, whose runs are built only when read, is the same
+function as one built from its runs.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlab.dyadic import StepFunction, make_step, rademacher_sum
+from rlab.dyadic import StepFunction, _from_ints, _ints, make_step, rademacher_sum
 from rlab.projections import coefficients, rademacher_sum_l1_exact
 from rlab.rearrangement import decreasing_rearrangement
 from rlab.spaces import Lp
@@ -186,3 +189,63 @@ def test_products_and_sums_past_the_guard(f, w):
     pairs = list(zip(cells_of(f, level), cells_of(w, level)))
     assert f * w == make_step(level, [x * y for x, y in pairs])
     assert f + w == make_step(level, [x + y for x, y in pairs])
+
+
+@st.composite
+def cell_ints(draw):
+    """(level, cell numerators, denominator) with ties, zeros, signs, runs
+    of equal cells that let the level drop, and a denominator that shares
+    a random factor with every numerator, so the kernel must reduce it."""
+    level = draw(st.integers(0, 8))
+    past = draw(st.booleans())
+    base = math.prod(WIDE_PRIMES) if past else 2 ** draw(st.integers(0, 40))
+    pool = draw(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=5)) + [0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = 2 ** draw(st.integers(0, level))  # equal blocks of this many cells
+    cells = [pool[i] for i in rng.integers(len(pool), size=2**level // block) for _ in range(block)]
+    factor = draw(st.integers(1, 2**20))
+    return level, [c * factor for c in cells], base * factor
+
+
+def kernel_born(level: int, nums: list[int], den: int) -> StepFunction:
+    top = max(map(abs, nums))
+    return _from_ints(level, np.ones(len(nums), dtype=np.int64), _ints(nums, top), den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell_ints())
+@example((2, [0, 0, 0, 0], 6))
+@example((3, [5, 5, -5, -5, 0, 0, 5, 5], 10))
+def test_kernel_born_and_from_runs_are_the_same_function(case):
+    level, nums, den = case
+    lazy, eager = kernel_born(level, nums, den), make_step(level, [F(v, den) for v in nums])
+    assert lazy.level == eager.level and lazy.runs == eager.runs
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert lazy.to_json() == eager.to_json()
+    # the integer forms compare directly: a form over a multiple of den is
+    # the same function
+    again = kernel_born(level, [3 * v for v in nums], 3 * den)
+    assert again == lazy and hash(again) == hash(lazy)
+    assert lazy != kernel_born(level, [v + 1 for v in nums], den)
+
+
+def star_oracle(f: StepFunction) -> StepFunction:
+    """f* by the (float, exact) sort of |runs|, reverse and stable."""
+    runs = sorted(((length, abs(v)) for length, v in f.runs), key=lambda r: (float(r[1]), r[1]), reverse=True)
+    return StepFunction.from_runs(f.level, runs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell_ints())
+@example((3, [2, -3, 3, 0, -2, 2, 0, -3], 4))
+def test_integer_star_is_the_exact_sort(case):
+    f = kernel_born(*case)
+    star = f.sorted_abs()
+    assert star == star_oracle(f) and star.runs == star_oracle(f).runs
+    floats = [(length, float(v)) for length, v in star.runs if v]
+    assert star.abs_float_runs() == floats
+    assert f.abs_float_runs() == [(length, float(abs(v))) for length, v in f.runs if v]
+    assert f.sup_abs() == max(abs(v) for _, v in f.runs)
+    assert f.log2_max() == max(
+        (v.numerator.bit_length() - v.denominator.bit_length() for _, v in f.runs if v), default=None
+    )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlab.dyadic import StepFunction, chi_prefix, make_step
+from rlab.dyadic import StepFunction, chi_prefix, make_step, rademacher_sum
 from rlab.errors import DivisionByZero, InvalidSpec, NonPositiveWeight
 from rlab.phi import PowerPhi
 from rlab.spaces import Lorentz, Lp, Marcinkiewicz, norm, parse_space
@@ -43,6 +43,23 @@ class TestWeight:
         vals = w.fn.values_at(w.fn.level)
         assert all(v >= 1 for v in vals)
         assert vals[0] > vals[-1]
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_logpow_samples_are_their_dyadic_floats(self, beta):
+        # each sample is the float that limit_denominator(10**12) rounded
+        # before, kept exactly: same float, power-of-two denominator
+        for level in range(13):
+            n = 2**level
+            vals = Weight.logpow(beta, level).fn.values_at(level)
+            for j, v in enumerate(vals):
+                old = F(math.log(math.e / ((j + 0.5) / n)) ** beta).limit_denominator(10**12)
+                assert float(v) == float(old)
+                assert v.denominator & (v.denominator - 1) == 0
+
+    def test_dyadic_product_stays_on_the_integer_kernel(self):
+        w = Weight.logpow(0.5, level=10)
+        f = rademacher_sum([F(3, 4), F(-1, 8), *[F(1, 2**k) for k in range(3, 13)]])
+        assert w.fn._int_form is not None and (f * w.fn)._int_form is not None
 
 
 class TestWeightedNorm:
