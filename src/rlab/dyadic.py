@@ -1,10 +1,11 @@
 """Exact piecewise-constant functions on dyadic partitions of [0,1].
 
 A StepFunction stores run-length encoded exact rational values on the grid
-of 2**level equal cells.  Canonical form merges equal adjacent runs and
-drops the level as far as possible, so function equality is equality of
-the canonical representations.  A result of the integer kernel holds its
-values as integer numerators over one denominator until its runs are read.
+of 2**level equal cells.  One canonicaliser builds every function: it merges
+equal adjacent runs and drops the level as far as possible, so equal
+functions have equal representations.  The values fix the form when a
+function is made: integer numerators over one denominator under the guard
+below, `Fraction` runs past it.
 """
 
 from __future__ import annotations
@@ -38,21 +39,6 @@ def _check_level(level: int) -> None:
         raise LevelTooLow(f"negative level {level}")
     if level > LEVEL_CAP:
         raise LevelCapExceeded(f"level {level} exceeds cap {LEVEL_CAP}")
-
-
-def _canonical_runs(runs: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
-    out: list[tuple[int, Fraction]] = []
-    for length, value in runs:
-        if length == 0:
-            continue
-        # Fractions are normalised: equal exactly when both parts are, and
-        # comparing them directly skips Fraction.__eq__'s isinstance checks
-        if out and ((last := out[-1][1]).denominator == value.denominator
-                    and last.numerator == value.numerator):
-            out[-1] = (out[-1][0] + length, value)
-        else:
-            out.append((length, value))
-    return tuple(out)
 
 
 def _within_guard(den: int) -> bool:
@@ -91,27 +77,33 @@ class _IntForm(NamedTuple):
         return tuple(zip(self.lengths.tolist(), map(fractions.__getitem__, which.tolist())))
 
 
+def _canonical(level: int, lengths: np.ndarray, *keys: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | slice]:
+    """(level, lengths, index of each one's first run) after merging the adjacent
+    runs equal in every key and dropping the level as far as the lengths allow."""
+    differ = keys[0][1:] != keys[0][:-1]
+    for key in keys[1:]:
+        differ |= key[1:] != key[:-1]
+    starts = slice(None)
+    if not differ.all():
+        starts = np.flatnonzero(np.concatenate(([True], differ)))
+        lengths = np.add.reduceat(lengths, starts)
+    # adjacent runs now differ, so the level drops by the trailing zero bits
+    # that every run length shares
+    low = int(np.bitwise_or.reduce(lengths))
+    drop = min(level, (low & -low).bit_length() - 1)
+    return level - drop, lengths >> drop if drop else lengths, starts
+
+
 def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "StepFunction":
     """Canonical StepFunction with run values nums/den of the given lengths.
 
     Equal adjacent runs merge, the level drops and gcd(den, nums) is divided
     out on the integers, so den is the LCM of the reduced denominators and
     the integer form is unique.  Under the denominator guard that form is
-    the function, and its runs are made when first read; past it the runs
-    are made at once.
+    the function; past it the runs are made at once.
     """
-    if len(nums) > 1:
-        starts = np.flatnonzero(np.concatenate(([True], nums[1:] != nums[:-1])))
-        if len(starts) < len(nums):
-            lengths = np.add.reduceat(lengths, starts)
-            nums = nums[starts]
-    # adjacent runs now differ, so the level drops by the trailing zero bits
-    # that every run length shares
-    low = int(np.bitwise_or.reduce(lengths))
-    drop = min(level, (low & -low).bit_length() - 1)
-    if drop:
-        lengths = lengths >> drop
-        level -= drop
+    level, lengths, starts = _canonical(level, lengths, nums)
+    nums = nums[starts]
     g = math.gcd(den, int(np.gcd.reduce(nums)))
     if g > 1:
         den //= g
@@ -120,8 +112,8 @@ def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "
     top = max(-int(nums.min()), int(nums.max()))
     form = _IntForm(den, lengths, _ints(nums, top), top)
     if not _within_guard(den):
-        return StepFunction(level, form.runs())
-    return StepFunction._of_ints(level, form)
+        return StepFunction(level, None, form.runs())
+    return StepFunction(level, form)
 
 
 def _magnitude(run: tuple[int, Fraction]) -> tuple[float, Fraction]:
@@ -167,26 +159,22 @@ def _length_sum(form: _IntForm, level: int, p: int | None) -> int:
 class StepFunction:
     """Canonical run-length encoded step function on 2**level dyadic cells.
 
-    A function made by the integer kernel is its integer form, and `runs`
-    are built from it when first read.  Equality and hash are those of the
-    level and the canonical runs, whichever form holds them.
+    Its values fix its form when it is made: under the guard `_int_form`
+    is the unique integer form and `runs` are made from it on first read;
+    past it `_int_form` is None and the runs are held.  Equality and hash are
+    those of the level and the canonical runs.
     """
 
-    def __init__(self, level: int, runs: tuple[tuple[int, Fraction], ...]):
+    def __init__(self, level: int, form: _IntForm | None, runs: tuple[tuple[int, Fraction], ...] = ()):
         self.level = level
-        self.runs = runs
-
-    @staticmethod
-    def _of_ints(level: int, form: _IntForm) -> "StepFunction":
-        f = StepFunction.__new__(StepFunction)
-        f.level = level
-        f._int_form = form
-        return f
+        self._int_form = form
+        if form is None:
+            self.runs = runs
 
     @cached_property
     def runs(self) -> tuple[tuple[int, Fraction], ...]:
-        """The canonical (length, value) runs; only a kernel-made function
-        reaches this, on its first read."""
+        """The canonical (length, value) runs, made from the integer form on
+        their first read."""
         return self._int_form.runs()
 
     def __eq__(self, other) -> bool:
@@ -196,7 +184,8 @@ class StepFunction:
             return False
         a, b = self._int_form, other._int_form
         if a is None or b is None:
-            return self.runs == other.runs
+            # the values fix the form, so functions in different forms differ
+            return a is b and self.runs == other.runs
         # both forms are canonical, so equal functions have equal forms
         return a.den == b.den and np.array_equal(a.lengths, b.lengths) and np.array_equal(a.nums, b.nums)
 
@@ -208,35 +197,44 @@ class StepFunction:
 
     @staticmethod
     def from_runs(level: int, runs: Iterable[tuple[int, Fraction]]) -> "StepFunction":
-        _check_level(level)
-        merged = list(_canonical_runs(runs))
-        total = sum(length for length, _ in merged)
+        """The canonical function with these runs; length-0 runs are dropped."""
+        _check_level(level := operator.index(level))
+        lengths, values = [], []
+        for length, value in runs:
+            if operator.index(length) < 0:
+                raise LengthMismatch(f"negative run length {length}")
+            if length:
+                lengths.append(length)
+                values.append(value)
+        total = sum(lengths)
         if total != 2**level:
             raise LengthMismatch(f"runs cover {total} cells, expected {2**level}")
-        # merged runs have distinct adjacent values, so the level can drop
-        # exactly when every run length is even
-        while level > 0 and all(length % 2 == 0 for length, _ in merged):
-            merged = [(length // 2, value) for length, value in merged]
-            level -= 1
-        return StepFunction(level, tuple(merged))
+        lengths = np.array(lengths, dtype=np.int64)
+        den = _common_denominator(value.denominator for value in values)
+        if den is not None:
+            nums = [value.numerator * (den // value.denominator) for value in values]
+            return _from_ints(level, lengths, _ints(nums, max(map(abs, nums))), den)
+        # past the guard: Fractions are normalised, so runs merge on equal
+        # numerators and denominators
+        level, lengths, starts = _canonical(
+            level, lengths,
+            np.array([value.numerator for value in values], dtype=object),
+            np.array([value.denominator for value in values], dtype=object),
+        )
+        kept = np.array(values, dtype=object)[starts].tolist()
+        return StepFunction(level, None, tuple(zip(lengths.tolist(), kept)))
 
     @staticmethod
     def constant(value) -> "StepFunction":
-        return StepFunction(0, ((1, Fraction(value)),))
+        return StepFunction.from_runs(0, ((1, Fraction(value)),))
 
     @staticmethod
     def zero() -> "StepFunction":
         return StepFunction.constant(0)
 
-    @cached_property
-    def _int_form(self) -> _IntForm | None:
-        """Integer form for the exact kernel; None past the denominator guard."""
-        den = _common_denominator(value.denominator for _, value in self.runs)
-        return None if den is None else self._form(den)
-
     def _form(self, den: int) -> _IntForm:
         """The run values as integer numerators over `den`, a common multiple
-        of their denominators."""
+        of their denominators, for the walk past the guard."""
         nums = [value.numerator * (den // value.denominator) for _, value in self.runs]
         top = max(map(abs, nums))
         lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
@@ -420,8 +418,8 @@ class StepFunction:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "StepFunction":
-        runs = [(int(length), Fraction(text)) for length, text in doc["runs"]]
-        return StepFunction.from_runs(int(doc["level"]), runs)
+        runs = [(length, Fraction(text)) for length, text in doc["runs"]]
+        return StepFunction.from_runs(doc["level"], runs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -483,7 +481,7 @@ def rademacher(k: int) -> StepFunction:
         raise LevelTooLow(f"k must be >= 1, got {k}")
     _check_level(k)
     signs = np.tile(np.array([1, -1], dtype=np.int64), 2 ** (k - 1))
-    return StepFunction._of_ints(k, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
+    return StepFunction(k, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
 
 
 def rademacher_sum(a: Sequence) -> StepFunction:

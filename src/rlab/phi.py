@@ -16,6 +16,11 @@ class PhiFn:
     def __call__(self, t: float) -> float:
         raise NotImplementedError
 
+    @property
+    def exponents(self) -> tuple[float, float]:
+        """(a, b) with phi(t) = t**a * log(e/t)**b."""
+        raise NotImplementedError
+
     def tilde(self) -> "PhiFn":
         """The dual-generating function t / phi(t)."""
         return TildePhi(self)
@@ -34,6 +39,10 @@ class PowerPhi(PhiFn):
     @property
     def label(self) -> str:
         return f"pow:{self.alpha}"
+
+    @property
+    def exponents(self) -> tuple[float, float]:
+        return self.alpha, 0.0
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -55,6 +64,10 @@ class LogPowerPhi(PhiFn):
     def label(self) -> str:
         return f"logpow:{self.beta}"
 
+    @property
+    def exponents(self) -> tuple[float, float]:
+        return 0.0, -self.beta
+
     def __call__(self, t: float) -> float:
         t = float(t)
         if t <= 0:
@@ -71,6 +84,11 @@ class TildePhi(PhiFn):
     @property
     def label(self) -> str:
         return f"tilde({self.base.label})"
+
+    @property
+    def exponents(self) -> tuple[float, float]:
+        a, b = self.base.exponents
+        return 1.0 - a, -b
 
     def __call__(self, t: float) -> float:
         t = float(t)

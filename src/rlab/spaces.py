@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -117,8 +116,7 @@ class SpaceSpec:
         raise UnsupportedDual(f"no dual formula for {self.label}")
 
     def contains_loghalf(self) -> bool:
-        """Membership of log^(1/2)(e/t) in the space (truncation trend where
-        no closed form decides)."""
+        """Membership of log^(1/2)(e/t) in the space, by a closed form."""
         raise NotImplementedError
 
     def sym_kernel(self, cells: list[tuple[float, float, float]]) -> dict:
@@ -244,13 +242,11 @@ class Lorentz(SpaceSpec):
         return Marcinkiewicz(self.phi.tilde())
 
     def contains_loghalf(self) -> bool:
-        # Stieltjes sum over the dyadic grid, read at each truncation
-        phis = [self.phi(2.0**-j) for j in range(TRUNCATIONS[-1] + 1)]
-        sums = list(itertools.accumulate(
-            (_loghalf(2.0 ** -(j - 1)) * (phis[j - 1] - phis[j]) for j in range(1, len(phis))),
-            initial=0.0,
-        ))
-        return not divergence_trend([sums[jmax] for jmax in TRUNCATIONS])
+        # with phi = t^a L^b, L = log(e/t): for a > 0 the integral of L^(1/2)
+        # d phi converges; for a = 0 it is -b times that of L^(b-1/2) dL
+        # over [1, oo), finite iff b < -1/2
+        a, b = self.phi.exponents
+        return a > 0 or b < -0.5
 
     def sym_kernel(self, cells) -> dict:
         partials = [
@@ -319,8 +315,10 @@ class Marcinkiewicz(SpaceSpec):
         return Lorentz(self.phi.tilde())
 
     def contains_loghalf(self) -> bool:
-        # log^(1/2)(e/t) is the kernel of the constant 1, whose f* is one cell
-        return not self.sym_kernel([(0.0, 1.0, 1.0)])["diverging"]
+        # phi(t)/t times the integral of L^(1/2) over [0, t] is of the order
+        # t^a L^(b+1/2) as t -> 0, bounded iff a > 0 or b <= -1/2
+        a, b = self.phi.exponents
+        return a > 0 or b <= -0.5
 
     def sym_kernel(self, cells) -> dict:
         # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
@@ -608,16 +606,24 @@ def sym_kernel_report(X: SpaceSpec, f: StepFunction) -> dict:
 _SQRT_ALIASES = {"sqrt": 0.5}
 
 
+def _fields(parts: list[str], n: int) -> list[str]:
+    """A descriptor's `parts`, refused if they hold more than n fields."""
+    if len(parts) > n:
+        raise ValueError(f"unexpected field {':'.join(parts[n:])!r}")
+    return parts
+
+
 def _parse_phi(parts: list[str]) -> PhiFn:
     if not parts:
         raise InvalidSpec("missing phi descriptor")
     head = parts[0]
     if head in _SQRT_ALIASES:
+        _fields(parts, 1)
         return PowerPhi(_SQRT_ALIASES[head])
     if head == "pow":
-        return PowerPhi(float(parts[1]))
+        return PowerPhi(float(_fields(parts, 2)[1]))
     if head == "logpow":
-        return LogPowerPhi(beta=float(parts[1]))
+        return LogPowerPhi(beta=float(_fields(parts, 2)[1]))
     raise InvalidSpec(f"unknown phi descriptor {':'.join(parts)!r}")
 
 
@@ -628,17 +634,18 @@ def parse_space(text: str) -> SpaceSpec:
     family = parts[0]
     try:
         if family == "lp":
-            return Lp(Fraction(parts[1]))
+            return Lp(Fraction(_fields(parts, 2)[1]))
         if family == "linfty":
+            _fields(parts, 1)
             return Linfty()
         if family == "lorentz":
             return Lorentz(_parse_phi(parts[1:]))
         if family == "marcinkiewicz":
             return Marcinkiewicz(_parse_phi(parts[1:]))
         if family == "explp":
-            return ExpLp(Fraction(parts[1]))
+            return ExpLp(Fraction(_fields(parts, 2)[1]))
         if family == "orlicz":
-            if parts[1] == "pow":
+            if _fields(parts, 3)[1] == "pow":
                 return OrliczSpace(PowerOrlicz(float(parts[2])))
             if parts[1] == "exp":
                 return OrliczSpace(ExpPowerOrlicz(float(parts[2])))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .dyadic import LEVEL_CAP, StepFunction, make_step
 from .errors import DivisionByZero, InvalidSpec, NonPositiveWeight
-from .spaces import SpaceSpec, norm
+from .spaces import SpaceSpec, _fields, norm
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,17 @@ def parse_weight(text: str) -> Weight:
     kind = parts[0].lower()
     try:
         if kind == "const":
-            return Weight.constant(Fraction(parts[1]))
+            return Weight.constant(Fraction(_fields(parts, 2)[1]))
         if kind == "step":
-            with open(parts[1]) as fh:
+            with open(_fields(parts, 2)[1]) as fh:
                 return Weight(StepFunction.from_json(fh.read()), label=text)
         if kind == "logpow":
-            beta = float(parts[1])
-            level = 10
-            for extra in parts[2:]:
-                key, _, val = extra.partition("=")
-                if key == "level":
-                    level = int(val)
+            beta, level = float(parts[1]), 10
+            for field in _fields(parts, 3)[2:]:
+                key, _, val = field.partition("=")
+                if key != "level":
+                    raise ValueError(f"unknown field {field!r}")
+                level = int(val)
             if not 0 <= level <= LEVEL_CAP:
                 raise InvalidSpec(f"sampling level {level} outside 0..{LEVEL_CAP}")
             return Weight.logpow(beta, level)

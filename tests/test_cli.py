@@ -371,6 +371,10 @@ BAD_FILES = {
     "nolevel.json": '{"level": 1}',
     "notjson.json": "not json {",
     "noexp.json": '{"config": {}, "records": []}',
+    # run lengths and the level must be integers, and no length negative
+    "negative.json": '{"level": 1, "runs": [[3, "1/1"], [-1, "2/1"]]}',
+    "fractional.json": '{"level": 1, "runs": [[1.9, "1/1"], [1.2, "2/1"]]}',
+    "fraclevel.json": '{"level": 1.9, "runs": [[1, "1/1"], [1, "2/1"]]}',
 }
 
 
@@ -378,6 +382,12 @@ BAD_FILES = {
     "norm --space lp:2 --fn missing.json",
     "norm --space lp:2 --fn nolevel.json",
     "norm --space lp:2 --fn notjson.json",
+    "rearrange --fn negative.json",
+    "norm --space lorentz:sqrt --fn negative.json",
+    "norm --space lp:2 --fn negative.json",
+    "norm --space lp:2 --fn fractional.json",
+    "norm --space lp:2 --fn fraclevel.json",
+    "projnorm --space lp:2 --weight step:fractional.json --n-list 2",
     "compare missing.json f.json",
     "compare noexp.json f.json",
     "compare notjson.json f.json",
@@ -408,6 +418,14 @@ BAD_FILES = {
     "multiplicator --space lp:1 --values 1,0 --n 0",
     "coeffs --values 1,2 --n -1",
     "project --values 1,2 --n -3",
+    # every field of a descriptor is used, and none is unknown
+    "norm --space lp:2:9 --values 1,2",
+    "norm --space linfty:3 --values 1,2",
+    "norm --space lorentz:pow:0.5:1 --values 1,2",
+    "projnorm --space lp:2 --weight const:2:junk --n-list 2",
+    "projnorm --space lp:2 --weight logpow:0.5:level=4:level=6 --n-list 2",
+    "projnorm --space lp:2 --weight logpow:0.5:levle=4 --n-list 2",
+    "indices --phi logpow:0.5:x",
 ])
 def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
     # an unreadable or malformed input file or literal is a validation error
@@ -432,6 +450,11 @@ REASONS = {
     "projnorm --space lp:2 --weight const:1/0 --n-list 2": "'const:1/0': ZeroDivisionError: Fraction(1, 0)",
     "projnorm --space lp:2 --weight step:nolevel.json --n-list 2": "'step:nolevel.json': KeyError: 'runs'",
     "projnorm --space lp:2 --weight logpow:0.5:level=-1 --n-list 2": "error: sampling level -1 outside 0..26",
+    "norm --space lp:2 --fn negative.json": "error: negative run length -1",
+    "norm --space lp:2 --fn fraclevel.json": "'float' object cannot be interpreted as an integer",
+    "norm --space lp:2:9 --values 1,2": "'lp:2:9': ValueError: unexpected field '9'",
+    "projnorm --space lp:2 --weight logpow:0.5:levle=4 --n-list 2":
+        "'logpow:0.5:levle=4': ValueError: unknown field 'levle=4'",
 }
 
 

@@ -6,7 +6,7 @@ so functions fall on both sides of the common-denominator guard; one
 group of tests draws only functions past it, where products, moments and
 rearrangements take the Fraction path.  The last group checks that a
 function the kernel made, whose runs are built only when read, is the same
-function as one built from its runs.
+function, in the same form, as one built from its runs.
 """
 
 import math
@@ -212,21 +212,56 @@ def kernel_born(level: int, nums: list[int], den: int) -> StepFunction:
     return _from_ints(level, np.ones(len(nums), dtype=np.int64), _ints(nums, top), den)
 
 
+def least_level(cells: list[F]) -> int:
+    """The least level on whose cells the function is constant."""
+    while len(cells) > 1 and cells[0::2] == cells[1::2]:
+        cells = cells[0::2]
+    return len(cells).bit_length() - 1
+
+
+def split_runs(cells: list[F], seed: int) -> list[tuple[int, F]]:
+    """Runs of 1 or 2 of the cells each, so equal neighbours arrive as
+    separate runs that must merge, with a length-0 run of some other value
+    before the first and after about a third of the rest."""
+    rng = np.random.default_rng(seed)
+    runs = [(0, F(7, 3))]
+    i = 0
+    while i < len(cells):
+        length = 2 if i + 1 < len(cells) and cells[i] == cells[i + 1] and rng.random() < 0.5 else 1
+        runs.append((length, cells[i]))
+        if rng.random() < 0.3:
+            runs.append((0, cells[i] + 1))
+        i += length
+    return runs
+
+
 @settings(max_examples=80, deadline=None)
-@given(cell_ints())
-@example((2, [0, 0, 0, 0], 6))
-@example((3, [5, 5, -5, -5, 0, 0, 5, 5], 10))
-def test_kernel_born_and_from_runs_are_the_same_function(case):
+@given(cell_ints(), st.integers(0, 2**32 - 1))
+@example((2, [0, 0, 0, 0], 6), 0)
+@example((3, [5, 5, -5, -5, 0, 0, 5, 5], 10), 1)
+# past the guard: merges across length-0 runs, and the level drops to 1
+@example((3, [1, 1, 1, 1, 2, 2, 2, 2], math.prod(WIDE_PRIMES)), 2)
+# past the guard: neighbours 1/p share a numerator and must stay apart
+@example((3, [math.prod(WIDE_PRIMES) // p for p in WIDE_PRIMES], math.prod(WIDE_PRIMES)), 3)
+def test_kernel_born_and_from_runs_are_the_same_function(case, seed):
     level, nums, den = case
-    lazy, eager = kernel_born(level, nums, den), make_step(level, [F(v, den) for v in nums])
-    assert lazy.level == eager.level and lazy.runs == eager.runs
-    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
-    assert lazy.to_json() == eager.to_json()
+    lazy = kernel_born(level, nums, den)
+    cells = [F(v, den) for v in nums]
+    for eager in (make_step(level, cells), StepFunction.from_runs(level, split_runs(cells, seed))):
+        # the values fix the form, whichever constructor ran
+        assert (lazy._int_form is None) is (eager._int_form is None)
+        assert lazy.level == eager.level and lazy.runs == eager.runs
+        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+        assert lazy.to_json() == eager.to_json()
+    # canonical: adjacent runs differ, and the level is as low as it can be
+    assert all(a != b for (_, a), (_, b) in zip(lazy.runs, lazy.runs[1:]))
+    assert lazy.level == least_level(cells)
     # the integer forms compare directly: a form over a multiple of den is
     # the same function
     again = kernel_born(level, [3 * v for v in nums], 3 * den)
     assert again == lazy and hash(again) == hash(lazy)
-    assert lazy != kernel_born(level, [v + 1 for v in nums], den)
+    other = kernel_born(level, [v + 1 for v in nums], den)
+    assert lazy != other and other != eager
 
 
 def star_oracle(f: StepFunction) -> StepFunction:

@@ -186,6 +186,63 @@ class TestContainsLogHalf:
         assert not contains_loghalf(Marcinkiewicz(LogPowerPhi(0.25)))
 
 
+def lorentz_logpow_integral(beta: float, top=mpmath.inf):
+    """Integral of L^(1/2) d phi(t) for phi = L^-beta, L = log(e/t), over
+    t in [e^(1 - e^top), 1]: with t = e^(1 - u) and u = e^x it is the integral
+    of beta u^(-beta - 1/2) du over [1, e^top], of beta e^((1/2 - beta) x) dx
+    over [0, top]."""
+    return mpmath.quad(lambda x: beta * mpmath.exp((0.5 - beta) * x), [0, top])
+
+
+def marcinkiewicz_logpow_ratio(beta: float, u) -> float:
+    """phi(t)/t times the integral of L^(1/2) over (0, t] at t = e^(1 - u),
+    phi = L^-beta: with s = e^(1 - u - w) it is
+    u^-beta times the integral of (u + w)^(1/2) e^-w over [0, oo)."""
+    return u**-beta * mpmath.quad(lambda w: mpmath.sqrt(u + w) * mpmath.exp(-w), [0, mpmath.inf])
+
+
+class TestLogHalfExactIntegrals:
+    """Membership of log^(1/2)(e/t) against integrals that mpmath evaluates
+    without rlab, on both sides of each family's edge."""
+
+    @pytest.mark.parametrize("beta,value", [(0.75, 3), (1.0, 2)])
+    def test_lorentz_logpow_integral_is_beta_over_beta_minus_half(self, beta, value):
+        assert float(lorentz_logpow_integral(beta)) == pytest.approx(value, rel=1e-12)
+        assert contains_loghalf(parse_space(f"lorentz:logpow:{beta}"))
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5])
+    def test_lorentz_logpow_diverges_to_beta_half(self, beta):
+        # the integrand beta e^((1/2 - beta) x) is at least beta, so the
+        # integral up to x = top is at least beta * top
+        assert lorentz_logpow_integral(beta, 1000) >= beta * 1000
+        assert not contains_loghalf(parse_space(f"lorentz:logpow:{beta}"))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.09, 1.0])
+    def test_lorentz_pow_converges(self, alpha):
+        # with t = e^(1 - u): alpha times the integral of u^(1/2) e^(alpha (1 - u)) du
+        total = alpha * mpmath.quad(lambda u: mpmath.sqrt(u) * mpmath.exp(alpha * (1 - u)), [1, mpmath.inf])
+        assert mpmath.isfinite(total) and total > 0
+        assert contains_loghalf(parse_space(f"lorentz:pow:{alpha}"))
+
+    def test_marcinkiewicz_logpow_half_is_bounded(self):
+        # at beta = 1/2 the ratio is decreasing in u, from its value at u = 1 (t = 1)
+        ratios = [marcinkiewicz_logpow_ratio(0.5, mpmath.mpf(10) ** k) for k in range(0, 41, 5)]
+        assert all(1 <= r <= ratios[0] < 1.4 for r in ratios)
+        assert contains_loghalf(parse_space("marcinkiewicz:logpow:0.5"))
+
+    @pytest.mark.parametrize("beta", [0.42, 0.45, 0.49])
+    def test_marcinkiewicz_logpow_below_half_is_unbounded(self, beta):
+        # the ratio is at least u^(1/2 - beta), past the beta = 1/2 bound at u = 10^40
+        assert marcinkiewicz_logpow_ratio(beta, mpmath.mpf(10) ** 40) > 2
+        assert not contains_loghalf(parse_space(f"marcinkiewicz:logpow:{beta}"))
+
+    def test_dual_of_marcinkiewicz_pow_1_is_linfty(self):
+        # tilde(t) = 1, so the dual is Lambda(1) = L_infty, which log^(1/2) leaves
+        dual = parse_space("marcinkiewicz:pow:1").dual()
+        assert dual.phi.exponents == (0.0, 0.0)
+        assert not contains_loghalf(dual)
+
+
 class TestSymKernel:
     def test_l1_full_indicator_matches_quadrature(self):
         oracle = float(mpmath.quad(lambda t: mpmath.sqrt(mpmath.log(mpmath.e / t)), [0, 1]))
