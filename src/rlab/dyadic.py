@@ -5,7 +5,8 @@ of 2**level equal cells.  One canonicaliser builds every function: it merges
 equal adjacent runs and drops the level as far as possible, so equal
 functions have equal representations.  The values fix the form when a
 function is made: integer numerators over one denominator under the guard
-below, `Fraction` runs past it.
+below, arrays of reduced numerators and denominators past it.  `Fraction`
+runs are made only when read.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -26,9 +28,10 @@ from .errors import BlockTooSmall, LengthMismatch, LevelCapExceeded, LevelTooLow
 LEVEL_CAP = 26
 
 # Dense work runs on integer numerators over one common denominator while
-# that denominator has at most this many bits, and on per-run Fractions past
-# it.  Sampled weights have ~40-bit denominators whose LCM grows without
-# bound, so the guard is checked as the LCM is built.
+# that denominator has at most this many bits, and on per-run reduced
+# numerators and denominators past it.  Reciprocals of dyadic weights, step
+# files and --fn inputs may have many odd denominators of up to 53 bits whose
+# LCM grows without bound, so the guard is checked as the LCM is built.
 _DEN_BITS = 256
 # int64 arithmetic is used where every magnitude met has at most this many bits
 _INT64_BITS = 62
@@ -77,6 +80,17 @@ class _IntForm(NamedTuple):
         return tuple(zip(self.lengths.tolist(), map(fractions.__getitem__, which.tolist())))
 
 
+class _RatioForm(NamedTuple):
+    """A StepFunction's run values past the guard, one reduced fraction a run."""
+
+    lengths: np.ndarray  # int64 run lengths
+    nums: np.ndarray  # Python ints
+    dens: np.ndarray  # Python ints > 0, coprime to nums
+
+    def runs(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple(zip(self.lengths.tolist(), map(Fraction, self.nums.tolist(), self.dens.tolist())))
+
+
 def _canonical(level: int, lengths: np.ndarray, *keys: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | slice]:
     """(level, lengths, index of each one's first run) after merging the adjacent
     runs equal in every key and dropping the level as far as the lengths allow."""
@@ -100,7 +114,7 @@ def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "
     Equal adjacent runs merge, the level drops and gcd(den, nums) is divided
     out on the integers, so den is the LCM of the reduced denominators and
     the integer form is unique.  Under the denominator guard that form is
-    the function; past it the runs are made at once.
+    the function; past it each value is reduced on its own.
     """
     level, lengths, starts = _canonical(level, lengths, nums)
     nums = nums[starts]
@@ -109,25 +123,69 @@ def _from_ints(level: int, lengths: np.ndarray, nums: np.ndarray, den: int) -> "
         den //= g
         # g passes int64 only when every num is 0
         nums = (nums if g.bit_length() <= _INT64_BITS else nums.astype(object)) // g
-    top = max(-int(nums.min()), int(nums.max()))
-    form = _IntForm(den, lengths, _ints(nums, top), top)
     if not _within_guard(den):
-        return StepFunction(level, None, form.runs())
-    return StepFunction(level, form)
+        nums = nums.astype(object)
+        g = np.gcd(nums, den)
+        return StepFunction(level, _RatioForm(lengths, nums // g, den // g))
+    top = max(-int(nums.min()), int(nums.max()))
+    return StepFunction(level, _IntForm(den, lengths, _ints(nums, top), top))
 
 
-def _magnitude(run: tuple[int, Fraction]) -> tuple[float, Fraction]:
+def _from_ratios(level: int, lengths: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> "StepFunction":
+    """Canonical StepFunction with run values nums/dens, object arrays with
+    dens > 0.  The values are reduced; if their common denominator is within
+    the guard the integer kernel takes them, so the values fix the form."""
+    g = np.gcd(nums, dens)
+    nums, dens = nums // g, dens // g
+    den = _common_denominator(dens.tolist())
+    if den is not None:
+        ints = (nums * (den // dens)).tolist()
+        return _from_ints(level, lengths, _ints(ints, max(map(abs, ints))), den)
+    # reduced fractions are equal exactly when numerators and denominators are
+    level, lengths, starts = _canonical(level, lengths, nums, dens)
+    return StepFunction(level, _RatioForm(lengths, nums[starts], dens[starts]))
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, inf past the float range."""
     try:
-        return run[1].numerator / run[1].denominator, run[1]
-    except OverflowError:  # past every float, the exact value alone orders
-        return math.inf, run[1]
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
-def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np.ndarray, int]:
-    """Cell numerators of sum a_k r_k over one common denominator, in cell
-    order; int64 only if `headroom` more bits fit."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+def _descending(mags: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """The stable order of the values mags / dens, nonincreasing.
+
+    The runs sort on the correctly rounded quotients: rounding is monotone,
+    so floats decide every pair they separate.  Each group of equal floats,
+    values past the float range included, is then re-sorted by exact value;
+    a reverse sort stays stable.
+    """
+    keys = np.array(list(map(_quotient, mags.tolist(), dens.tolist())))
+    order = np.argsort(-keys, kind="stable")
+    ordered = keys[order]
+    # +1 at the first and -1 at the last element of each group of equal floats
+    ties = np.diff(np.concatenate(([0], ordered[1:] == ordered[:-1], [0])).astype(np.int8))
+    for first, last in zip(np.flatnonzero(ties == 1).tolist(), np.flatnonzero(ties == -1).tolist()):
+        group = order[first:last + 1].tolist()
+        order[first:last + 1] = sorted(group, key=lambda i: Fraction(mags[i], dens[i]), reverse=True)
+    return order
+
+
+def _numerators(coeffs: Sequence) -> tuple[list[int], int]:
+    """The coefficients as integer numerators over their least common
+    denominator; Python ints are taken as they are."""
+    if all(type(c) is int for c in coeffs):
+        return list(coeffs), 1
+    fractions = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in fractions))
+    return [c.numerator * (den // c.denominator) for c in fractions], den
+
+
+def _rademacher_cells(nums: Sequence[int], headroom: int = 0) -> np.ndarray:
+    """Cell numerators of sum nums_k r_k, in cell order; int64 only if
+    `headroom` more bits fit."""
     cells = _ints([0], sum(map(abs, nums)) << headroom)
     for c in nums:
         # each current cell splits into the adjacent pair (v+c, v-c)
@@ -135,7 +193,7 @@ def _rademacher_cells(coeffs: Sequence[Fraction], headroom: int = 0) -> tuple[np
         nxt[0::2] = cells + c
         nxt[1::2] = cells - c
         cells = nxt
-    return cells, den
+    return cells
 
 
 def _length_sum(form: _IntForm, level: int, p: int | None) -> int:
@@ -160,22 +218,22 @@ class StepFunction:
     """Canonical run-length encoded step function on 2**level dyadic cells.
 
     Its values fix its form when it is made: under the guard `_int_form`
-    is the unique integer form and `runs` are made from it on first read;
-    past it `_int_form` is None and the runs are held.  Equality and hash are
-    those of the level and the canonical runs.
+    holds integer numerators over one denominator; past it `_ratio_form`
+    holds each run's reduced numerator and denominator.  Either is unique,
+    and `runs` are made from it on first read.  Equality and hash are those
+    of the level and the canonical runs.
     """
 
-    def __init__(self, level: int, form: _IntForm | None, runs: tuple[tuple[int, Fraction], ...] = ()):
+    def __init__(self, level: int, form: _IntForm | _RatioForm):
         self.level = level
-        self._int_form = form
-        if form is None:
-            self.runs = runs
+        ints = isinstance(form, _IntForm)
+        self._int_form = form if ints else None
+        self._ratio_form = None if ints else form
 
     @cached_property
     def runs(self) -> tuple[tuple[int, Fraction], ...]:
-        """The canonical (length, value) runs, made from the integer form on
-        their first read."""
-        return self._int_form.runs()
+        """The canonical (length, value) runs, made on their first read."""
+        return (self._int_form or self._ratio_form).runs()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):
@@ -183,11 +241,13 @@ class StepFunction:
         if self.level != other.level:
             return False
         a, b = self._int_form, other._int_form
-        if a is None or b is None:
-            # the values fix the form, so functions in different forms differ
-            return a is b and self.runs == other.runs
-        # both forms are canonical, so equal functions have equal forms
-        return a.den == b.den and np.array_equal(a.lengths, b.lengths) and np.array_equal(a.nums, b.nums)
+        if a is not None and b is not None:
+            # both forms are canonical, so equal functions have equal forms
+            return a.den == b.den and np.array_equal(a.lengths, b.lengths) and np.array_equal(a.nums, b.nums)
+        # the values fix the form, so functions in different forms differ
+        r, q = self._ratio_form, other._ratio_form
+        return (r is not None and q is not None and np.array_equal(r.lengths, q.lengths)
+                and np.array_equal(r.nums, q.nums) and np.array_equal(r.dens, q.dens))
 
     def __hash__(self) -> int:
         return hash((self.level, self.runs))
@@ -214,15 +274,11 @@ class StepFunction:
         if den is not None:
             nums = [value.numerator * (den // value.denominator) for value in values]
             return _from_ints(level, lengths, _ints(nums, max(map(abs, nums))), den)
-        # past the guard: Fractions are normalised, so runs merge on equal
-        # numerators and denominators
-        level, lengths, starts = _canonical(
+        return _from_ratios(
             level, lengths,
             np.array([value.numerator for value in values], dtype=object),
             np.array([value.denominator for value in values], dtype=object),
         )
-        kept = np.array(values, dtype=object)[starts].tolist()
-        return StepFunction(level, None, tuple(zip(lengths.tolist(), kept)))
 
     @staticmethod
     def constant(value) -> "StepFunction":
@@ -232,26 +288,26 @@ class StepFunction:
     def zero() -> "StepFunction":
         return StepFunction.constant(0)
 
-    def _form(self, den: int) -> _IntForm:
-        """The run values as integer numerators over `den`, a common multiple
-        of their denominators, for the walk past the guard."""
-        nums = [value.numerator * (den // value.denominator) for _, value in self.runs]
-        top = max(map(abs, nums))
-        lengths = np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
-        return _IntForm(den, lengths, _ints(nums, top), top)
+    def _ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each run's (numerator, denominator) as object arrays, reduced past
+        the guard; under it every denominator is the common one."""
+        form = self._int_form
+        if form is None:
+            return self._ratio_form.nums, self._ratio_form.dens
+        return form.nums.astype(object), np.full(len(form.nums), form.den, dtype=object)
 
     def sorted_abs(self) -> "StepFunction":
         """f*: |f|'s runs sorted nonincreasing by a stable sort, canonical.
 
-        On the integer form this is a stable descending argsort of |nums|.
-        Past the guard the runs sort on (float(|v|), |v|): rounding is
-        monotone, so floats decide every pair they separate and the exact
-        value breaks their ties; a reverse sort stays stable.
+        On the integer form this is a stable descending argsort of |nums|;
+        past the guard it is `_descending` on the reduced fractions.
         """
         form = self._int_form
         if form is None:
-            runs = sorted(((length, abs(value)) for length, value in self.runs), key=_magnitude, reverse=True)
-            return StepFunction.from_runs(self.level, runs)
+            r = self._ratio_form
+            mags = np.abs(r.nums)
+            order = _descending(mags, r.dens)
+            return _from_ratios(self.level, r.lengths[order], mags[order], r.dens[order])
         mags = np.abs(form.nums)
         order = np.argsort(-mags, kind="stable")
         return _from_ints(self.level, form.lengths[order], mags[order], form.den)
@@ -262,7 +318,9 @@ class StepFunction:
         up, down = max(-e, 0), max(e, 0)
         form = self._int_form
         if form is None:
-            return [(length, (abs(v.numerator) << up) / (v.denominator << down)) for length, v in self.runs if v]
+            r = self._ratio_form
+            return [(length, (abs(num) << up) / (den << down))
+                    for length, num, den in zip(r.lengths.tolist(), r.nums.tolist(), r.dens.tolist()) if num]
         den = form.den << down
         return [(length, (abs(num) << up) / den)
                 for length, num in zip(form.lengths.tolist(), form.nums.tolist()) if num]
@@ -272,8 +330,9 @@ class StepFunction:
         bit-length difference of a value's reduced numerator and denominator."""
         form = self._int_form
         if form is None:
-            return max((v.numerator.bit_length() - v.denominator.bit_length() for _, v in self.runs if v),
-                       default=None)
+            r = self._ratio_form
+            return max((num.bit_length() - den.bit_length()
+                        for num, den in zip(r.nums.tolist(), r.dens.tolist()) if num), default=None)
         den = form.den
         return max(((num // (g := math.gcd(num, den))).bit_length() - (den // g).bit_length()
                     for num in form.nums.tolist() if num), default=None)
@@ -301,9 +360,10 @@ class StepFunction:
         form = self._int_form
         if form is not None:
             return _length_sum(form, self.level, p), form.den ** (p or 1) << self.level
+        r = self._ratio_form
         e = p or 1
-        terms = [(length * (v.numerator if p is None else abs(v.numerator)) ** e, v.denominator**e)
-                 for length, v in self.runs]
+        nums = r.nums if p is None else np.abs(r.nums)
+        terms = list(zip((nums**e * r.lengths).tolist(), (r.dens**e).tolist()))
         while len(terms) > 1:
             paired = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in zip(terms[0::2], terms[1::2])]
             if len(terms) % 2:
@@ -312,6 +372,39 @@ class StepFunction:
         num, den = terms[0]
         return num, den << self.level
 
+    def _rounded_moment(self, p: int) -> float | None:
+        """The integral of |f|**p, integer p >= 1, correctly rounded from a
+        fixed-point sum past the guard; None under it, where the exact pair
+        is cheap, and wherever the fixed-point sum cannot decide the float.
+
+        K is taken from the bit lengths so that T = sum of
+        floor(length |n|**p 2**K / d**p) over the nonzero runs has at least
+        53 + 16 + log2(runs) bits.  The exact sum S has T <= S 2**K < T + runs,
+        and rounding is monotone, so when T and T + runs round to the same
+        float, that float times 2**-(K + level) is the moment rounded, as long
+        as it lies above the subnormal range.
+        """
+        r = self._ratio_form
+        if r is None:
+            return None
+        live = r.nums != 0
+        lengths, nums, dens = r.lengths[live], np.abs(r.nums[live]), r.dens[live]
+        runs = len(nums)
+        # each term is at least 2**(bl(length) - 1 + p (bl(n) - 1 - bl(d)))
+        least = max(length.bit_length() - 1 + p * (n.bit_length() - 1 - d.bit_length())
+                    for length, n, d in zip(lengths.tolist(), nums.tolist(), dens.tolist()))
+        k = 53 + 16 + runs.bit_length() - least
+        terms, dens = nums**p * lengths, dens**p
+        total = int(((terms << k) // dens if k >= 0 else terms // (dens << -k)).sum())
+        try:
+            rounded = float(total)
+            if rounded != float(total + runs):
+                return None
+            moment = math.ldexp(rounded, -(k + self.level))
+        except OverflowError:  # a large p can leave T past the float range
+            return None
+        return moment if moment > sys.float_info.min else None
+
     def abs_moment(self, p: int) -> Fraction:
         """Exact integral of |f|**p for an integer p >= 1."""
         return Fraction(*self._moment_pair(p))
@@ -319,7 +412,10 @@ class StepFunction:
     def sup_abs(self) -> Fraction:
         form = self._int_form
         if form is None:
-            return max(abs(value) for _, value in self.runs)
+            r = self._ratio_form
+            mags = np.abs(r.nums)
+            top = _descending(mags, r.dens)[0]
+            return Fraction(mags[top], r.dens[top])
         return Fraction(form.top, form.den)
 
     def map(self, fn) -> "StepFunction":
@@ -345,10 +441,12 @@ class StepFunction:
         ia, ib = np.searchsorted(ends_a, ends), np.searchsorted(ends_b, ends)
         lengths = np.diff(ends, prepend=0)
         if a is None or b is None:
-            # past the guard: op on the aligned Fractions
-            va = map([value for _, value in self.runs].__getitem__, ia.tolist())
-            vb = map([value for _, value in other.runs].__getitem__, ib.tolist())
-            return StepFunction.from_runs(level, zip(lengths.tolist(), map(op, va, vb)))
+            # past the guard: multiply or cross-multiply the aligned fractions
+            (na, da), (nb, db) = self._ratios(), other._ratios()
+            na, da, nb, db = na[ia], da[ia], nb[ib], db[ib]
+            if op is operator.mul:
+                return _from_ratios(level, lengths, na * nb, da * db)
+            return _from_ratios(level, lengths, op(na * db, nb * da), da * db)
         if op is operator.mul:
             den, ka, kb = a.den * b.den, 1, 1
             top = max(a.top * b.top, a.top, b.top)  # a zero factor bounds nothing
@@ -361,10 +459,7 @@ class StepFunction:
         return _from_ints(level, lengths, op(x, y), den)
 
     def _lengths(self) -> np.ndarray:
-        form = self._int_form
-        if form is not None:
-            return form.lengths
-        return np.fromiter((length for length, _ in self.runs), np.int64, len(self.runs))
+        return (self._int_form or self._ratio_form).lengths
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return self._zip(other, operator.add)
@@ -376,9 +471,10 @@ class StepFunction:
         return self._zip(other, operator.mul)
 
     def reciprocal(self) -> "StepFunction":
-        if any(value == 0 for _, value in self.runs):
+        nums, dens = self._ratios()
+        if (nums == 0).any():
             raise ZeroDivisionError("step function has zero cells")
-        return self.map(lambda v: 1 / v)
+        return _from_ratios(self.level, self._lengths(), np.where(nums < 0, -dens, dens), np.abs(nums))
 
     def rademacher_coefficients(self, n: int) -> list[Fraction]:
         """Exact c_k = integral of f r_k for k = 1..n.
@@ -394,8 +490,11 @@ class StepFunction:
         scale = 2 ** (self.level - kmax)  # level cells per rank-kmax cell
         form = self._int_form
         if form is None:
-            # past the guard: the same walk over the full LCM of the denominators
-            form = self._form(math.lcm(*(value.denominator for _, value in self.runs)))
+            # past the guard: the same walk over the LCM of the denominators
+            r = self._ratio_form
+            den = math.lcm(*r.dens.tolist())
+            nums = r.nums * (den // r.dens)
+            form = _IntForm(den, r.lengths, nums, max(map(abs, nums.tolist())))
         # integer mass of f over cells [0, x) at each rank-kmax boundary x, read
         # off the run holding cell x; every magnitude is at most top * 2**level
         nums = _ints(form.nums, form.top << self.level)
@@ -484,13 +583,12 @@ def rademacher(k: int) -> StepFunction:
     return StepFunction(k, _IntForm(1, np.ones(2**k, dtype=np.int64), signs, 1))
 
 
-def rademacher_sum(a: Sequence) -> StepFunction:
-    """Exact finite Rademacher sum sum_k a_k r_k at level n = len(a)."""
-    coeffs = [Fraction(v) for v in a]
-    n = len(coeffs)
+def rademacher_sum(a: Sequence, den: int = 1) -> StepFunction:
+    """Exact finite Rademacher sum sum_k (a_k / den) r_k at level n = len(a)."""
+    n = len(a)
     _check_level(n)
-    cells, den = _rademacher_cells(coeffs)
-    return _from_ints(n, np.ones(len(cells), dtype=np.int64), cells, den)
+    nums, common = _numerators(a)
+    return _from_ints(n, np.ones(2**n, dtype=np.int64), _rademacher_cells(nums), common * den)
 
 
 def signs_orthogonal(n: int, js: Sequence[int]) -> bool:

@@ -13,6 +13,7 @@ import numpy as np
 from .dyadic import (
     LEVEL_CAP,
     StepFunction,
+    _numerators,
     _rademacher_cells,
     chi_prefix,
     rademacher,
@@ -69,11 +70,11 @@ def project(f: StepFunction, n: int) -> StepFunction:
 
 def rademacher_sum_l1_exact(a: Sequence) -> Fraction:
     """Exact ||sum a_k r_k||_1 by enumeration over the 2**n sign cells."""
-    coeffs = [Fraction(v) for v in a]
-    n = len(coeffs)
+    n = len(a)
     if n > KHINTCHINE_MAX_N:
         raise TooManyCoefficients(f"n = {n} exceeds {KHINTCHINE_MAX_N}")
-    cells, den = _rademacher_cells(coeffs, headroom=n)
+    nums, den = _numerators(a)
+    cells = _rademacher_cells(nums, headroom=n)
     return Fraction(int(np.abs(cells).sum()), den << n)
 
 
@@ -93,8 +94,13 @@ def khintchine_check(a: Sequence) -> dict:
 _SNAP_BITS = 30
 
 
+def _snap_num(v: float) -> int:
+    """The numerator of v snapped to the grid of 2**-_SNAP_BITS."""
+    return round(float(v) * (1 << _SNAP_BITS))
+
+
 def _snap(v: float) -> Fraction:
-    return Fraction(round(float(v) * (1 << _SNAP_BITS)), 1 << _SNAP_BITS)
+    return Fraction(_snap_num(v), 1 << _SNAP_BITS)
 
 
 def _unit_vectors(n: int, trials: int, seed) -> list[tuple[Fraction, ...]]:
@@ -136,7 +142,7 @@ def equivalence_constants(X: SpaceSpec, w: Weight, n: int, trials: int, seed) ->
 
 
 def _ratio_objective(X: SpaceSpec, f: StepFunction, a: Sequence[float]) -> float:
-    s = rademacher_sum([_snap(v) for v in a])
+    s = rademacher_sum([_snap_num(v) for v in a], 1 << _SNAP_BITS)
     denom = norm(X, s)
     if denom == 0.0:
         return 0.0

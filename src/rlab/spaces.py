@@ -29,6 +29,8 @@ ORLICZ_MARGIN = 1e-9
 TREND_GROWTH = 1e-3
 # grid depths j of the doubling truncations t >= 2**-j that divergence_trend reads
 TRUNCATIONS = (16, 32, 64, 128, 256)
+# the deepest f* level whose phi values at the cell ends a space keeps
+PHI_GRID_LEVEL = 12
 
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -84,26 +86,46 @@ def _loghalf(t: float) -> float:
     return math.sqrt(math.log(math.e / t))
 
 
-def _stieltjes_weighted(v_cells, phi: PhiFn, cutoff: float) -> float:
-    """Sum_i v_i * integral over cell of log^(1/2)(e/t) d phi(t), truncated
-    below at `cutoff`, by geometric-grid Stieltjes sums."""
-    total = 0.0
-    for a, b, v in v_cells:
-        lo = max(a, cutoff)
-        if lo >= b:
-            continue
-        # geometric refinement toward the left edge
-        ts = np.geomspace(lo, b, num=max(8, int(24 * math.log2(b / lo) + 8)))
-        phis = [phi(float(t)) for t in ts]
-        mids = [math.sqrt(t0 * t1) for t0, t1 in zip(ts, ts[1:])]
-        total += v * math.fsum(
-            _loghalf(m) * (p1 - p0) for m, p0, p1 in zip(mids, phis, phis[1:])
-        )
-    return total
+def _stieltjes_term(phi: PhiFn, lo: float, b: float, v: float) -> float:
+    """v * integral over [lo, b] of log^(1/2)(e/t) d phi(t), by a
+    geometric-grid Stieltjes sum refined toward the left edge."""
+    ts = np.geomspace(lo, b, num=max(8, int(24 * math.log2(b / lo) + 8)))
+    phis = [phi(float(t)) for t in ts]
+    mids = [math.sqrt(t0 * t1) for t0, t1 in zip(ts, ts[1:])]
+    return v * math.fsum(_loghalf(m) * (p1 - p0) for m, p0, p1 in zip(mids, phis, phis[1:]))
 
 
 class SpaceSpec:
     family = "abstract"
+
+    @functools.cached_property
+    def _phi_grids(self) -> dict[tuple[PhiFn, int], list]:
+        return {}
+
+    def _star_phi(self, phi: PhiFn, f: StepFunction):
+        """(v, phi(b)) for each nonzero cell [a, b] of f*, in order.
+
+        b is k 2**-level for the k cells up to the cell's end.  Up to
+        PHI_GRID_LEVEL the phi values are kept in a grid of 2**level + 1
+        entries, filled as they are first read, that the space holds for as
+        long as it lives; the same float reaches phi either way.
+        """
+        star = decreasing_rearrangement(f)
+        width = 2.0**-star.level
+        grid = None
+        if star.level <= PHI_GRID_LEVEL:
+            grid = self._phi_grids.get((phi, star.level))
+            if grid is None:
+                grid = self._phi_grids[phi, star.level] = [None] * (2**star.level + 1)
+        end = 0
+        for length, v in star.abs_float_runs():
+            end += length
+            value = None if grid is None else grid[end]
+            if value is None:
+                value = phi(end * width)
+                if grid is not None:
+                    grid[end] = value
+            yield v, value
 
     def norm(self, f: StepFunction) -> float:
         raise NotImplementedError
@@ -152,10 +174,15 @@ class Lp(SpaceSpec):
     def norm(self, f: StepFunction) -> float:
         p = self.p
         if p.denominator == 1:
-            # exact p-th moment, one correctly rounded division, one root; a
-            # quotient below the normal range is first scaled by an exact
-            # 2**(p*k) taken from the bit lengths, and the root back by 2**-k
+            # the p-th moment correctly rounded, then one root: past the guard
+            # from a fixed-point sum where it decides the float, else from the
+            # exact moment by one division; a quotient below the normal range
+            # is first scaled by an exact 2**(p*k) taken from the bit lengths,
+            # and the root back by 2**-k
             q = int(p)
+            r = f._rounded_moment(q)
+            if r is not None:
+                return r ** (1.0 / q)
             num, den = f._moment_pair(q)
             r = num / den
             if r >= sys.float_info.min or not num:
@@ -229,8 +256,7 @@ class Lorentz(SpaceSpec):
         # the zero tail adds only zero terms, so it is left out
         terms = []
         prev = 0.0
-        for _, b, v in _star_cells(f):
-            cur = self.phi(b)
+        for v, cur in self._star_phi(self.phi, f):
             terms.append(v * (cur - prev))
             prev = cur
         return math.fsum(terms)
@@ -249,9 +275,22 @@ class Lorentz(SpaceSpec):
         return a > 0 or b < -0.5
 
     def sym_kernel(self, cells) -> dict:
-        partials = [
-            _stieltjes_weighted(cells, self.phi, 2.0**-j) for j in TRUNCATIONS
-        ]
+        # each partial sum adds the cells' terms in cell order; a cell that
+        # starts at or above the widest cutoff is cut by none, so its term is
+        # computed once
+        widest = 2.0**-TRUNCATIONS[0]
+        uncut = [_stieltjes_term(self.phi, a, b, v) if widest <= a < b else None for a, b, v in cells]
+        partials = []
+        for j in TRUNCATIONS:
+            total = 0.0
+            for (a, b, v), term in zip(cells, uncut):
+                if term is None:
+                    lo = max(a, 2.0**-j)
+                    if lo >= b:
+                        continue
+                    term = _stieltjes_term(self.phi, lo, b, v)
+                total += term
+            partials.append(total)
         diverging = divergence_trend(partials)
         return {
             "value": math.inf if diverging else partials[-1],
@@ -482,11 +521,10 @@ class ExpLp(SpaceSpec):
         return LogPowerPhi(beta=1.0 / float(self.p))
 
     def norm(self, f: StepFunction) -> float:
-        phi = self.phi_p()
         best = 0.0
-        for _, b, v in _star_cells(f):
+        for v, phi_b in self._star_phi(self.phi_p(), f):
             # x* nonincreasing, phi increasing: cell sup at the right endpoint
-            best = max(best, v * phi(b))
+            best = max(best, v * phi_b)
         return best
 
     def fundamental(self, t) -> float:

@@ -16,6 +16,7 @@ from rlab import counterexample as cex
 from rlab.cli import COMMANDS, main
 from rlab.dyadic import make_step
 from rlab.phi import ExpPowerOrlicz, PowerOrlicz
+from rlab.weighted import parse_weight
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -538,6 +539,30 @@ def test_readme_commands_reproduce(tmp_path, monkeypatch):
                 assert rec["value"] == pytest.approx(value, rel=1e-12)
         else:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DIGESTS[line], line
+
+
+# Reports whose dual record runs multiplicator_norm on 1/w for the level-8
+# log^(1/2) weight: its odd denominators of up to 53 bits put 1/w, and its
+# products with Rademacher sums, past the denominator guard.
+DUAL_PATH_DIGESTS = {
+    "rlab theorems --space lp:2 --weight logpow:0.5:level=8":
+        "5fef0283ff7eeceec34cf2685ca9a77943a1b2cfb197eb6ba5ebb7b5a27b351f",
+    "rlab theorems --space explp:2 --weight logpow:0.5:level=8":
+        "26fb609d683898290240b856f441b16f278a169d69d367b9c3fde0d2bcfe6b53",
+    "rlab theorems --space lorentz:sqrt --weight logpow:0.5:level=8":
+        "00fd91cf8fed5f0fb723015e1842ffc0091bac31bc9a7d6f168d7dda2b1a8118",
+}
+
+
+def test_dual_path_is_past_the_guard():
+    assert parse_weight("logpow:0.5:level=8").fn.reciprocal()._int_form is None
+
+
+@pytest.mark.parametrize("line", sorted(DUAL_PATH_DIGESTS))
+def test_dual_path_reports_reproduce(line, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), *shlex.split(line)[1:]]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUAL_PATH_DIGESTS[line]
 
 
 def test_readme_shows_every_subcommand():

@@ -4,15 +4,17 @@ Each oracle reads cell values off the public runs and does its arithmetic
 with Fractions.  Coefficients mix dyadic denominators with 40-bit odd ones,
 so functions fall on both sides of the common-denominator guard; one
 group of tests draws only functions past it, where products, moments and
-rearrangements take the Fraction path.  The last group checks that a
-function the kernel made, whose runs are built only when read, is the same
-function, in the same form, as one built from its runs.
+rearrangements run on per-run reduced numerators and denominators, and the
+L_p norm reads a fixed-point moment.  The last group checks that a function
+the kernel made, whose runs are built only when read, is the same function,
+in the same form, as one built from its runs.
 """
 
 import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -141,8 +143,13 @@ def past_guard(draw):
 FLOAT_TIE = make_step(
     4, [F(1), F(-1), F(1) + F(1, 2**60), *PAST_GUARD, F(1, 3), F(1), F(3, 549755813911), F(0), F(-1)]
 )
-# |values| past every float: the exact values alone order them
-OVERFLOW = make_step(2, [F(10**400), F(1), F(-(10**400) - 1), F(3, 549755813911)])
+# |values| past every float: the exact values alone order them; the
+# denominators take it past the guard
+OVERFLOW = make_step(3, [
+    F(10**400), F(1), F(-(10**400) - 1), F(3, WIDE_PRIMES[0] * WIDE_PRIMES[1]),
+    F(5, WIDE_PRIMES[2] * WIDE_PRIMES[3]), F(7, WIDE_PRIMES[4] * WIDE_PRIMES[5]),
+    F(1, WIDE_PRIMES[6]), F(2, WIDE_PRIMES[7]),
+])
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +164,7 @@ def test_rearrangement_is_the_stable_exact_sort(f):
 
 
 def test_float_tie_is_past_the_guard():
-    assert FLOAT_TIE._int_form is None
+    assert FLOAT_TIE._int_form is None and OVERFLOW._int_form is None
     star = decreasing_rearrangement(FLOAT_TIE)
     assert [v for _, v in star.runs][:2] == [F(1) + F(1, 2**60), F(1)]
 
@@ -165,13 +172,79 @@ def test_float_tie_is_past_the_guard():
 @settings(max_examples=40, deadline=None)
 @given(past_guard())
 @example(FLOAT_TIE)
+@example(OVERFLOW)
 def test_moments_past_the_guard(f):
     cells = cells_of(f, f.level)
     assert f.integral() == sum(cells, F(0)) / 2**f.level
     for p in (1, 2, 4):
         moment = sum((abs(v) ** p for v in cells), F(0)) / 2**f.level
         assert f.abs_moment(p) == moment
-        assert Lp(F(p)).norm(f) == float(moment) ** (1.0 / p)
+        try:
+            expected = float(moment) ** (1.0 / p)
+        except OverflowError as exc:
+            # the norm fails as the float of the exact moment does
+            with pytest.raises(OverflowError, match=str(exc)):
+                Lp(F(p)).norm(f)
+        else:
+            assert Lp(F(p)).norm(f) == expected
+
+
+def moment_near(p: int, boundary: F, above: bool) -> StepFunction:
+    """A level-3 function past the guard whose integral of |f|**p lies
+    within 2**-200 of `boundary`, above or below it: seven small cells over
+    WIDE_PRIMES, and an eighth over 3**140 whose p-th power makes up the rest."""
+    cells = [F(k + 1, q) for k, q in enumerate(WIDE_PRIMES[:7])]
+    den = 3**140
+    root = math.floor((8 * boundary - sum(v**p for v in cells)) * den**p)
+    for _ in range(p.bit_length() - 1):  # p is a power of two
+        root = math.isqrt(root)
+    return make_step(3, cells + [F(root + above, den)])
+
+
+def near_midpoint(moment: F) -> bool:
+    """Whether `moment` lies within 2**-200 of a point halfway between two
+    adjacent floats, where rounding changes."""
+    x = float(moment)
+    return any(abs(moment - (F(x) + F(math.nextafter(x, side))) / 2) < F(1, 2**200)
+               for side in (-math.inf, math.inf))
+
+
+# midpoints between adjacent floats: ties round down to 1.0 at the first and
+# up to 1 + 2**-51 at the second, so a moment just above the first or just
+# below the second has a fixed-point bracket that straddles the rounding
+TIE_DOWN, TIE_UP = F(1) + F(1, 2**53), F(1) + F(3, 2**53)
+
+
+@settings(max_examples=40, deadline=None)
+@given(past_guard(), st.sampled_from([1, 2, 4]))
+@example(moment_near(1, TIE_DOWN, above=True), 1)
+@example(moment_near(1, TIE_UP, above=False), 1)
+@example(moment_near(2, TIE_DOWN, above=True), 2)
+@example(moment_near(2, TIE_UP, above=False), 2)
+@example(moment_near(4, TIE_DOWN, above=True), 4)
+@example(moment_near(4, TIE_UP, above=False), 4)
+def test_fixed_point_moment_is_the_rounded_exact_moment(f, p):
+    assert f._int_form is None
+    moment = f.abs_moment(p)
+    fast = f._rounded_moment(p)
+    if near_midpoint(moment):
+        # the bracket [T, T + runs] holds the midpoint: the fast path must
+        # decline, and the exact path round the moment
+        assert fast is None
+    else:
+        assert fast is None or fast == float(moment)
+    assert Lp(F(p)).norm(f) == float(moment) ** (1.0 / p)
+
+
+def test_near_midpoint_examples_are_near_midpoints():
+    for p in (1, 2, 4):
+        for boundary, above in ((TIE_DOWN, True), (TIE_UP, False)):
+            moment = moment_near(p, boundary, above).abs_moment(p)
+            assert 0 < (moment - boundary) * (1 if above else -1) < F(1, 2**200)
+            assert near_midpoint(moment)
+    # away from a midpoint the fast path decides the float
+    for p in (1, 2, 4):
+        assert FLOAT_TIE._rounded_moment(p) == float(FLOAT_TIE.abs_moment(p))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,15 +5,18 @@ import sys
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlab.dyadic import StepFunction, chi_prefix, make_step
 from rlab.errors import InvalidSpec, UnsupportedDual
-from rlab.phi import ExpPowerOrlicz, LogPowerPhi, PhiFn, PowerOrlicz, PowerPhi
+from rlab.phi import ExpPowerOrlicz, LogPowerPhi, PhiFn, PowerOrlicz, PowerPhi, TildePhi
 from rlab.rearrangement import decreasing_rearrangement
 from rlab.spaces import (
+    PHI_GRID_LEVEL,
+    TRUNCATIONS,
     ExpLp,
     Linfty,
     Lorentz,
@@ -28,6 +31,7 @@ from rlab.spaces import (
     norm,
     parse_space,
     sym_kernel_report,
+    _star_cells,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
@@ -261,6 +265,97 @@ class TestSymKernel:
     def test_linfty_diverges(self):
         rep = sym_kernel_report(Linfty(), StepFunction.constant(1))
         assert rep["diverging"] and rep["value"] == math.inf
+
+
+def stieltjes_five_pass(cells, phi: PhiFn) -> list[float]:
+    """The Lorentz truncation trend summed anew over every cell for each
+    cutoff: sum of v * integral over [max(a, cutoff), b] of
+    log^(1/2)(e/t) d phi(t), by the geometric-grid Stieltjes sum."""
+
+    def partial(cutoff: float) -> float:
+        total = 0.0
+        for a, b, v in cells:
+            lo = max(a, cutoff)
+            if lo >= b:
+                continue
+            ts = np.geomspace(lo, b, num=max(8, int(24 * math.log2(b / lo) + 8)))
+            phis = [phi(float(t)) for t in ts]
+            mids = [math.sqrt(t0 * t1) for t0, t1 in zip(ts, ts[1:])]
+            total += v * math.fsum(
+                math.sqrt(math.log(math.e / m)) * (p1 - p0) for m, p0, p1 in zip(mids, phis, phis[1:])
+            )
+        return total
+
+    return [partial(2.0**-j) for j in TRUNCATIONS]
+
+
+GRID_PHIS = [PowerPhi(0.5), PowerPhi(1.0), LogPowerPhi(0.5), TildePhi(LogPowerPhi(0.5)), TildePhi(PowerPhi(0.5))]
+STIELTJES_CELLS = {
+    # f* cells on either side of 2**-16, the widest cutoff, one of them
+    # across it, at level 20
+    "straddling": _star_cells(StepFunction.from_runs(20, [(1, 5), (3, 4), (60, 3), (2**20 - 64, 1)])),
+    # cells that end below some cutoffs, so those partial sums skip them
+    "deep": _star_cells(StepFunction.from_runs(20, [(1, 9), (1, 8), (2, 7), (4, 6), (8, 5), (2**20 - 16, 1)])),
+    # only the first cell, at 0, starts below 2**-16
+    "shallow": _star_cells(make_step(3, [3, -1, 2, 0, F(1, 2), F(5, 4), -3, 1])),
+    # no cell starts below 2**-16; the first starts on it
+    "uncut": [(2.0**-16, 2.0**-10, 2.0), (2.0**-10, 0.5, 1.5), (0.5, 1.0, 0.25)],
+}
+
+
+@pytest.mark.parametrize("phi", GRID_PHIS, ids=lambda phi: phi.label)
+@pytest.mark.parametrize("name", sorted(STIELTJES_CELLS))
+def test_lorentz_trend_is_the_five_pass_sum(name, phi):
+    cells = STIELTJES_CELLS[name]
+    assert Lorentz(phi).sym_kernel(cells)["trend"] == stieltjes_five_pass(cells, phi)
+
+
+def lorentz_direct(phi: PhiFn, f: StepFunction) -> float:
+    """Sum of v (phi(b) - phi(a)) over f*'s cells, phi called at each end."""
+    terms, prev = [], 0.0
+    for _, b, v in _star_cells(f):
+        cur = phi(b)
+        terms.append(v * (cur - prev))
+        prev = cur
+    return math.fsum(terms)
+
+
+def explp_direct(phi: PhiFn, f: StepFunction) -> float:
+    return max((v * phi(b) for _, b, v in _star_cells(f)), default=0.0)
+
+
+WIDE_PRIMES = [549755813911, 549755813927, 549755813933, 549755813951,
+               549755813963, 549755814037, 549755814043, 549755814071]
+
+
+def grid_functions(level: int) -> list[StepFunction]:
+    """Seeded functions at `level` >= 3 with runs of random lengths: one
+    over dyadic denominators, one past the guard, whose first eight runs
+    take each of WIDE_PRIMES in turn."""
+    rng = np.random.default_rng(level)
+    out = []
+    for dens in ([1, 2, 4, 8], WIDE_PRIMES):
+        runs, left = [], 2**level
+        while left:
+            length = min(left, int(rng.integers(1, max(2, 2**level // 50))))
+            den = dens[len(runs)] if len(runs) < len(dens) else int(rng.choice(dens))
+            runs.append((length, F(int(rng.integers(1, 41)) * int(rng.choice([-1, 1])), den)))
+            left -= length
+        out.append(StepFunction.from_runs(level, runs))
+    return out
+
+
+@pytest.mark.parametrize("level", [3, 8, PHI_GRID_LEVEL, PHI_GRID_LEVEL + 1, 15])
+def test_phi_grid_gives_the_direct_loop(level):
+    fns = grid_functions(level)
+    assert fns[0]._int_form is not None and fns[1]._int_form is None
+    spaces = [(Lorentz(phi), phi, lorentz_direct) for phi in GRID_PHIS]
+    spaces += [(ExpLp(F(p)), LogPowerPhi(1.0 / p), explp_direct) for p in (1, 2, 3)]
+    for X, phi, direct in spaces:
+        for f in fns + fns:  # the second pass reads the grid the first one filled
+            assert X.norm(f) == direct(phi, f)
+        # a grid is kept only at the levels where it is small
+        assert bool(X._phi_grids) is (fns[0].level <= PHI_GRID_LEVEL)
 
 
 # Per family: the dual's label (None where no formula exists), log^(1/2)
