@@ -22,9 +22,11 @@ from . import counterexample as cex
 from .dyadic import StepFunction, chi_prefix, make_step
 from .errors import InvalidSpec, RlabError
 from .projections import (
+    KHINTCHINE_MAX_N,
     coefficients,
     equivalence_constants,
     khintchine_check,
+    khintchine_windows,
     multiplicator_norm,
     project,
     projection_norm,
@@ -96,22 +98,36 @@ def _rearrange(rep: Report, args) -> None:
     rep.add("distribution", [[str(v), str(m)] for v, m in distribution(star)], method="exact")
 
 
+# the bounds of v_1, e_1, v_2, e_2, ... in a `khintchine` trial
+_DRAW_LOW, _DRAW_HIGH = np.tile([-8, 0], KHINTCHINE_MAX_N), np.tile([9, 7], KHINTCHINE_MAX_N)
+
+
 def _khintchine(rep: Report, args) -> int | None:
     rng = np.random.default_rng(args.seed)
-    failures = 0
-    for t in range(args.trials):
+    # trial t is a_k = v_k / 2**e_k, v_k in -8..8 and e_k in 0..6, kept as
+    # numerators over 64; one draw of v_1, e_1, v_2, ... with per-element
+    # bounds takes the same stream as one scalar draw each
+    vectors = []
+    for _ in range(args.trials):
         n = int(rng.integers(1, args.n + 1))
-        a = [Fraction(int(rng.integers(-8, 9)), 2 ** int(rng.integers(0, 7))) for _ in range(n)]
-        if all(v == 0 for v in a):
-            a[0] = Fraction(1)
-        res = khintchine_check(a)
-        if not (res["lower_ok"] and res["upper_ok"]):
-            failures += 1
-            rep.add(f"violation[{t}]", [str(v) for v in a], method="exact")
+        drawn = rng.integers(_DRAW_LOW[:2 * n], _DRAW_HIGH[:2 * n])
+        a = drawn[0::2] << (6 - drawn[1::2])
+        if not a.any():
+            a[0] = 64
+        vectors.append(a)
+    lengths = np.array([len(a) for a in vectors], dtype=np.int64)
+    ok = np.ones(args.trials, dtype=bool)
+    for n in np.unique(lengths).tolist():
+        trials = np.flatnonzero(lengths == n)
+        lower_ok, upper_ok = khintchine_windows(np.array([vectors[t] for t in trials]))
+        ok[trials] = lower_ok & upper_ok
+    failures = np.flatnonzero(~ok).tolist()
+    for t in failures:
+        rep.add(f"violation[{t}]", [str(Fraction(v, 64)) for v in vectors[t].tolist()], method="exact")
     res11 = khintchine_check([1, 1])
     rep.add("l1_of_(1,1)", res11["l1"], method="exact")
     rep.add("lower_constant_attained_by_(1,1)", res11["l1"] ** 2 * 2 == res11["l2_squared"], method="exact")
-    rep.add("violations", failures, method="exact")
+    rep.add("violations", len(failures), method="exact")
     if failures:
         return 2
 
@@ -203,15 +219,18 @@ def _opt(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
-def _int_at_least(flag: str, low: int) -> Callable[[str], int]:
-    """The argparse type of an integer `flag` that must be at least `low`.
-    argparse turns only ValueError and TypeError into its usage error, so
-    the InvalidSpec reaches main as one `error:` line."""
+def _int_at_least(flag: str, low: int, most: int | None = None) -> Callable[[str], int]:
+    """The argparse type of an integer `flag` that must be at least `low`,
+    and at most `most` if given.  argparse turns only ValueError and
+    TypeError into its usage error, so the InvalidSpec reaches main as one
+    `error:` line."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise InvalidSpec(f"{flag} must be >= {low}, got {value}")
+        if most is not None and value > most:
+            raise InvalidSpec(f"{flag} must be <= {most}, got {value}")
         return value
 
     return integer
@@ -239,20 +258,24 @@ BLOCKS = _opt("--blocks", type=int, required=True)
 RELAXED = _opt("--relaxed", action="store_false", dest="strict")
 N_POSITIVE = _int_at_least("--n", 1)
 N_COUNT = _opt("--n", type=_int_at_least("--n", 0), required=True)
+TRIALS = _int_at_least("--trials", 0)
 
 COMMANDS = (
     Command("norm", ("space",), _norm, (SPACE, *FN)),
     Command("rearrange", (), _rearrange, FN),
     Command("khintchine", ("n", "trials"), _khintchine,
-            (_opt("--n", type=N_POSITIVE, default=16), _opt("--trials", type=int, default=100))),
+            (_opt("--n", type=_int_at_least("--n", 1, KHINTCHINE_MAX_N), default=16),
+             _opt("--trials", type=TRIALS, default=100))),
     Command("coeffs", ("n",), _coeffs, (*FN, N_COUNT)),
     Command("project", ("n",), _project, (*FN, N_COUNT)),
     Command("equiv", ("space", "weight", "n", "trials"), _equiv,
-            (SPACE, WEIGHT, _opt("--n", type=N_POSITIVE, default=10), _opt("--trials", type=int, default=100))),
+            (SPACE, WEIGHT, _opt("--n", type=N_POSITIVE, default=10),
+             _opt("--trials", type=TRIALS, default=100))),
     Command("multiplicator", ("space", "n", "budget"), _multiplicator,
-            (SPACE, *FN, _opt("--n", type=N_POSITIVE, default=8), _opt("--budget", type=int, default=200))),
+            (SPACE, *FN, _opt("--n", type=N_POSITIVE, default=8),
+             _opt("--budget", type=_int_at_least("--budget", 0), default=200))),
     Command("projnorm", ("space", "weight", "n_list", "trials"), _projnorm,
-            (SPACE, WEIGHT, _opt("--n-list", default="2,4,8,16"), _opt("--trials", type=int, default=30))),
+            (SPACE, WEIGHT, _opt("--n-list", default="2,4,8,16"), _opt("--trials", type=TRIALS, default=30))),
     Command("theorems", ("space", "weight"), _theorems, (SPACE, WEIGHT)),
     Command("indices", ("phi",), _indices,
             (_opt("--phi", required=True, help="pow:0.5 | logpow:0.5 | sqrt"),)),

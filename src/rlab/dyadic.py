@@ -183,16 +183,27 @@ def _numerators(coeffs: Sequence) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in fractions], den
 
 
-def _rademacher_cells(nums: Sequence[int], headroom: int = 0) -> np.ndarray:
-    """Cell numerators of sum nums_k r_k, in cell order; int64 only if
-    `headroom` more bits fit."""
-    cells = _ints([0], sum(map(abs, nums)) << headroom)
+def _rademacher_cells(nums: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Cell numerators of sum nums_k r_k, in cell order, along the last axis.
+
+    `nums` is one sequence of n integers, whose 2**n cells are int64 when
+    sum |nums_k| fits, or a (rows, n) int64 or object array, whose
+    (rows, 2**n) cells keep its dtype: the caller bounds them.  Cell j of
+    rank n has sign -1 on r_k exactly when bit n-k of j is set, so the cells
+    of nums_k..nums_n are those of nums_(k+1)..nums_n, each plus nums_k,
+    followed by the same, each minus nums_k.
+    """
+    if isinstance(nums, np.ndarray) and nums.ndim == 2:
+        cells = np.zeros((len(nums), 2 ** nums.shape[1]), dtype=nums.dtype)
+        nums = nums.T[::-1, :, None]  # one (rows, 1) column per coefficient, last first
+    else:
+        cells = _ints(np.zeros(2 ** len(nums), dtype=np.int64), sum(map(abs, nums)))
+        nums = nums[::-1]
+    size = 1
     for c in nums:
-        # each current cell splits into the adjacent pair (v+c, v-c)
-        nxt = np.empty(2 * len(cells), dtype=cells.dtype)
-        nxt[0::2] = cells + c
-        nxt[1::2] = cells - c
-        cells = nxt
+        cells[..., size:2 * size] = cells[..., :size] - c
+        cells[..., :size] += c
+        size *= 2
     return cells
 
 

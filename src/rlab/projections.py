@@ -13,6 +13,7 @@ import numpy as np
 from .dyadic import (
     LEVEL_CAP,
     StepFunction,
+    _ints,
     _numerators,
     _rademacher_cells,
     chi_prefix,
@@ -25,7 +26,6 @@ from .spaces import ExpLp, Linfty, Lp, SpaceSpec, contains_loghalf, norm, sym_ke
 from .weighted import Weight, weighted_norm
 
 KHINTCHINE_MAX_N = 20
-KHINTCHINE_LOWER_SQ = Fraction(1, 2)  # (1/sqrt(2))^2
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,76 @@ def project(f: StepFunction, n: int) -> StepFunction:
     return rademacher_sum(cs[:m])
 
 
-def rademacher_sum_l1_exact(a: Sequence) -> Fraction:
-    """Exact ||sum a_k r_k||_1 by enumeration over the 2**n sign cells."""
-    n = len(a)
+def _abs_cell_sums(rows: np.ndarray) -> np.ndarray:
+    """T = sum over the 2**n sign cells of |sum_k a_k s_k| for each row a of
+    a (rows, n) int64 or object array, from two half enumerations.
+
+    The cells of the whole sum are the x + y, with x a cell of a_1..a_h
+    (h = n // 2) and y one of the rest.  Cells come in pairs v, -v, so T is
+    twice the sum of -(x + y) over the cells with x + y < 0.  With y sorted,
+    those are the k = #{y < -x} smallest, and with P_k their sum,
+
+        T = -2 sum_x (k x + P_k),
+
+    so 2**h + 2**(n - h) cells stand for 2**n.  No term or partial sum
+    exceeds 2**(n+2) sum |a_k| in magnitude, so int64 holds them when that
+    fits.
+    """
+    n = rows.shape[1]
     if n > KHINTCHINE_MAX_N:
         raise TooManyCoefficients(f"n = {n} exceeds {KHINTCHINE_MAX_N}")
+    # n max |a_k| bounds every row's sum |a_k|
+    rows = _ints(rows, int(np.abs(rows).max(initial=0)) * n << (n + 2))
+    h = n // 2
+    x = _rademacher_cells(rows[:, :h])
+    y = np.sort(_rademacher_cells(rows[:, h:]), axis=1)
+    prefix = np.zeros((len(rows), y.shape[1] + 1), dtype=rows.dtype)
+    np.cumsum(y, axis=1, out=prefix[:, 1:])
+    k = np.array([np.searchsorted(yr, -xr) for yr, xr in zip(y, x)], dtype=np.intp).reshape(x.shape)
+    negative = k * x + np.take_along_axis(prefix, k, axis=1)
+    return (-2 * negative.sum(axis=1)).astype(object)
+
+
+def _window(total, squares, n: int):
+    """(lower_ok, upper_ok) of the L1 Khintchine window from T = total and
+    sum a_k**2 = squares, integers or object arrays of them: with
+    ||sum a_k r_k||_1 = T / 2**n, l2 / sqrt(2) <= ||.||_1 <= l2 reads
+    squares 4**n <= 2 T**2 and T**2 <= squares 4**n."""
+    scaled, total_sq = squares << 2 * n, total * total
+    return scaled <= 2 * total_sq, total_sq <= scaled
+
+
+def khintchine_windows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact L1 Khintchine window l2 / sqrt(2) <= ||sum a_k r_k||_1 <= l2
+    for each row a of a (rows, n) int64 or object array, as the boolean
+    arrays (lower_ok, upper_ok).  A common denominator of the a_k scales the
+    three terms alike, so integer numerators stand for any rational rows."""
+    totals = _abs_cell_sums(rows)
+    squares = (rows.astype(object) ** 2).sum(axis=1)
+    lower_ok, upper_ok = _window(totals, squares, rows.shape[1])
+    return lower_ok.astype(bool), upper_ok.astype(bool)
+
+
+def _one_row(a: Sequence) -> tuple[list[int], int, int]:
+    """(numerators over den, den, T) of one vector; T as in `_abs_cell_sums`."""
     nums, den = _numerators(a)
-    cells = _rademacher_cells(nums, headroom=n)
-    return Fraction(int(np.abs(cells).sum()), den << n)
+    return nums, den, _abs_cell_sums(np.array([nums], dtype=object))[0]
+
+
+def rademacher_sum_l1_exact(a: Sequence) -> Fraction:
+    """Exact ||sum a_k r_k||_1, the one-row case of `_abs_cell_sums`."""
+    nums, den, total = _one_row(a)
+    return Fraction(total, den << len(nums))
 
 
 def khintchine_check(a: Sequence) -> dict:
-    """Exact L1 Khintchine window: l2/sqrt(2) <= ||sum a_k r_k||_1 <= l2."""
-    coeffs = [Fraction(v) for v in a]
-    l1 = rademacher_sum_l1_exact(coeffs)
-    l2_sq = sum((v * v for v in coeffs), Fraction(0))
-    lower_ok = KHINTCHINE_LOWER_SQ * l2_sq <= l1 * l1
-    upper_ok = l1 * l1 <= l2_sq
-    return {"l1": l1, "l2_squared": l2_sq, "lower_ok": bool(lower_ok), "upper_ok": bool(upper_ok)}
+    """Exact L1 Khintchine window: l2/sqrt(2) <= ||sum a_k r_k||_1 <= l2,
+    the one-row case of `khintchine_windows`."""
+    nums, den, total = _one_row(a)
+    squares = sum(v * v for v in nums)
+    lower_ok, upper_ok = _window(total, squares, len(nums))
+    return {"l1": Fraction(total, den << len(nums)), "l2_squared": Fraction(squares, den * den),
+            "lower_ok": lower_ok, "upper_ok": upper_ok}
 
 
 # Trial vectors only produce lower bounds / empirical brackets, so their

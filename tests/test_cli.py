@@ -8,14 +8,18 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rlab import cli
 from rlab import counterexample as cex
 from rlab.cli import COMMANDS, main
-from rlab.dyadic import make_step
+from rlab.dyadic import make_step, rademacher_sum
 from rlab.phi import ExpPowerOrlicz, PowerOrlicz
+from rlab.projections import khintchine_check, khintchine_windows, rademacher_sum_l1_exact
 from rlab.weighted import parse_weight
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,6 +174,30 @@ class TestRearrange:
         assert runs[0] == [2, "3/1"]
 
 
+def scalar_draws(seed: int, n_max: int, trials: int) -> list[list[F]]:
+    """The `khintchine` trial vectors drawn one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for _ in range(trials):
+        n = int(rng.integers(1, n_max + 1))
+        a = [F(int(rng.integers(-8, 9)), 2 ** int(rng.integers(0, 7))) for _ in range(n)]
+        if all(v == 0 for v in a):
+            a[0] = F(1)
+        vectors.append(a)
+    return vectors
+
+
+def rejecting(chosen):
+    """A `khintchine_windows` that fails the lower edge of exactly the rows
+    whose vectors are in `chosen` and accepts the others unchecked."""
+
+    def windows(rows):
+        out = np.array([[F(v, 64) for v in row] in chosen for row in rows.tolist()], dtype=bool)
+        return ~out, np.ones(len(rows), dtype=bool)
+
+    return windows
+
+
 class TestKhintchine:
     def test_battery_passes(self, capsys):
         code, doc = run_json(capsys, "--seed", "1", "khintchine", "--n", "12", "--trials", "50")
@@ -178,6 +206,55 @@ class TestKhintchine:
         assert recs["violations"]["value"] == 0
         assert recs["l1_of_(1,1)"]["value"] == "1/1"
         assert recs["lower_constant_attained_by_(1,1)"]["value"] is True
+
+    @pytest.mark.parametrize("n_max", [16, 20])
+    def test_vectors_are_the_scalar_draws(self, capsys, monkeypatch, n_max):
+        # with every row rejected, the report lists every trial's vector
+        monkeypatch.setattr(cli, "khintchine_windows",
+                            lambda rows: (np.zeros(len(rows), dtype=bool),) * 2)
+        for seed in range(21):
+            code, doc = run_json(capsys, "--seed", str(seed), "khintchine", "--n", str(n_max), "--trials", "60")
+            assert code == 2
+            expected = [[str(v) for v in a] for a in scalar_draws(seed, n_max, 60)]
+            recs = records(doc)
+            assert [recs[f"violation[{t}]"]["value"] for t in range(60)] == expected
+            assert recs["violations"]["value"] == 60
+
+    def test_forced_violations_in_trial_order(self, capsys, monkeypatch):
+        vectors = scalar_draws(7, 16, 40)
+        chosen = [vectors[29], vectors[4]]
+        monkeypatch.setattr(cli, "khintchine_windows", rejecting(chosen))
+        code, doc = run_json(capsys, "--seed", "7", "khintchine", "--n", "16", "--trials", "40")
+        assert code == 2
+        names = [rec["name"] for rec in doc["records"]]
+        failed = [t for t, a in enumerate(vectors) if a in chosen]
+        assert failed == [4, 29]
+        assert names == [f"violation[{t}]" for t in failed] + [
+            "l1_of_(1,1)", "lower_constant_attained_by_(1,1)", "violations"]
+        recs = records(doc)
+        for t in failed:
+            assert recs[f"violation[{t}]"]["value"] == [str(v) for v in vectors[t]]
+            assert recs[f"violation[{t}]"]["method"] == "exact"
+        assert recs["violations"]["value"] == 2
+
+    def test_seeded_vectors_against_the_full_enumeration(self):
+        # the README's 500 vectors: the half-enumeration L1 and window, one
+        # row and in batches of equal length, against the 2**n cells of
+        # rademacher_sum
+        vectors = scalar_draws(7, 16, 500)
+        by_length = {}
+        for a in vectors:
+            l1 = rademacher_sum(a).abs_moment(1)
+            assert rademacher_sum_l1_exact(a) == l1
+            l2_sq = sum(v * v for v in a)
+            window = (l2_sq <= 2 * l1 * l1, l1 * l1 <= l2_sq)
+            res = khintchine_check(a)
+            assert (res["l1"], res["l2_squared"], res["lower_ok"], res["upper_ok"]) == (l1, l2_sq, *window)
+            by_length.setdefault(len(a), []).append(([int(v * 64) for v in a], window))
+        for rows_and_windows in by_length.values():
+            rows = np.array([row for row, _ in rows_and_windows], dtype=np.int64)
+            lower_ok, upper_ok = khintchine_windows(rows)
+            assert list(zip(lower_ok.tolist(), upper_ok.tolist())) == [w for _, w in rows_and_windows]
 
 
 class TestProjectionCommands:
@@ -415,6 +492,13 @@ BAD_FILES = {
     "norm --space orlicz:exp:nan --values 1,2",
     "norm --space orlicz:pow:nan --values 1,2",
     "khintchine --n 0",
+    # above KHINTCHINE_MAX_N = 20, whatever the draws
+    "khintchine --n 21 --trials 3",
+    "khintchine --n 25 --trials 50",
+    "khintchine --n 16 --trials -1",
+    "equiv --space lp:2 --weight const:1 --n 4 --trials -2",
+    "projnorm --space lp:2 --weight const:1 --n-list 2 --trials -1",
+    "multiplicator --space lp:1 --values 1,0 --budget -1",
     "equiv --space lp:2 --weight const:1 --n 0",
     "multiplicator --space lp:1 --values 1,0 --n 0",
     "coeffs --values 1,2 --n -1",
@@ -443,6 +527,9 @@ def test_malformed_input_exit_1(capsys, tmp_path, monkeypatch, argv):
 
 # a malformed space or weight descriptor names the reason it was refused
 REASONS = {
+    "khintchine --n 21 --trials 3": "error: --n must be <= 20, got 21",
+    "equiv --space lp:2 --weight const:1 --n 4 --trials -2": "error: --trials must be >= 0, got -2",
+    "multiplicator --space lp:1 --values 1,0 --budget -1": "error: --budget must be >= 0, got -1",
     "norm --space lp:1/0 --values 1,2": "'lp:1/0': ZeroDivisionError: Fraction(1, 0)",
     "norm --space lorentz:logpow:2 --values 1,1":
         "'lorentz:logpow:2': ValueError: beta must be in (0,1], got 2.0",

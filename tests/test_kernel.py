@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlab.dyadic import StepFunction, _from_ints, _ints, make_step, rademacher_sum
+from rlab.dyadic import StepFunction, _from_ints, _ints, _rademacher_cells, make_step, rademacher_sum
 from rlab.projections import coefficients, rademacher_sum_l1_exact
 from rlab.rearrangement import decreasing_rearrangement
 from rlab.spaces import Lp
@@ -90,6 +90,16 @@ def test_rademacher_sum_cells_and_l1(a):
     expected = [sum((ak * sign(k, j, n) for k, ak in enumerate(a, 1)), F(0)) for j in range(2**n)]
     assert cells_of(s, n) == expected
     assert rademacher_sum_l1_exact(a) == s.abs_moment(1) == sum(map(abs, expected), F(0)) / 2**n
+
+
+@pytest.mark.parametrize("dtype,bound", [(np.int64, 2**40), (object, 2**80)])
+@pytest.mark.parametrize("n", [0, 1, 5, 9])
+def test_row_axis_cells_are_each_rows_cells(n, dtype, bound):
+    rng = np.random.default_rng(n)
+    rows = [[int(v) * (bound >> 20) for v in rng.integers(-2**20, 2**20, n)] for _ in range(4)]
+    cells = _rademacher_cells(np.array(rows, dtype=dtype).reshape(4, n))
+    assert cells.shape == (4, 2**n) and cells.dtype == dtype
+    assert cells.tolist() == [_rademacher_cells(row).tolist() for row in rows]
 
 
 @settings(max_examples=60, deadline=None)

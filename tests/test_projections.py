@@ -1,13 +1,17 @@
 """Rademacher coefficients, projections, Khintchine window, equivalence
 constants, multiplicator brackets, and projection-norm estimates."""
 
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlab import projections
 from rlab.dyadic import (
     StepFunction,
     chi_prefix,
@@ -25,6 +29,7 @@ from rlab.projections import (
     coefficients,
     equivalence_constants,
     khintchine_check,
+    khintchine_windows,
     multiplicator_norm,
     project,
     projection_norm,
@@ -120,6 +125,79 @@ class TestKhintchine:
         a = [F(2**40), F(1, 2**20)] * 3
         res = khintchine_check(a)
         assert res["lower_ok"] and res["upper_ok"]
+
+
+def abs_sum(a) -> F:
+    """sum over the 2**n sign patterns s of |sum a_k s_k|, one pattern at a time."""
+    patterns = itertools.product((1, -1), repeat=len(a))
+    return F(sum(abs(sum(ak * sk for ak, sk in zip(a, s))) for s in patterns))
+
+
+def window(a) -> tuple[bool, bool]:
+    """(l2 / sqrt(2) <= ||sum a_k r_k||_1, ||sum a_k r_k||_1 <= l2) on squares."""
+    l1 = abs_sum(a) / 2 ** len(a)
+    l2_sq = sum((F(v) ** 2 for v in a), F(0))
+    return l2_sq <= 2 * l1 * l1, l1 * l1 <= l2_sq
+
+
+def integer_rows(seed: int, count: int, n: int, bound: int) -> list[list[int]]:
+    rnd = random.Random(seed)
+    return [[rnd.randint(-bound, bound) for _ in range(n)] for _ in range(count)]
+
+
+class TestHalfEnumerationL1:
+    """The L1 of a Rademacher sum from two half enumerations against
+    `abs_sum`, which walks every sign pattern."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_batch_matches_every_pattern(self, n):
+        rows = integer_rows(n, 5, n, 40) + [[0] * n, [7] * n]
+        if n:
+            rows += [[0] * (n - 1) + [-3], [1] + [0] * (n - 1)]
+        totals = projections._abs_cell_sums(np.array(rows, dtype=np.int64))
+        assert totals.tolist() == [abs_sum(row) for row in rows]
+        lower_ok, upper_ok = khintchine_windows(np.array(rows, dtype=np.int64))
+        assert list(zip(lower_ok.tolist(), upper_ok.tolist())) == [window(row) for row in rows]
+
+    def test_batch_at_n_16(self):
+        rows = integer_rows(16, 3, 16, 512)
+        totals = projections._abs_cell_sums(np.array(rows, dtype=np.int64))
+        assert totals.tolist() == [abs_sum(row) for row in rows]
+
+    def test_object_rows_past_int64(self):
+        # coefficients near 2**70 put every cell past int64
+        rnd = random.Random(70)
+        rows = [[rnd.randint(-2**70, 2**70) for _ in range(9)] for _ in range(4)]
+        rows.append([2**70 - 1] + [1] * 8)
+        totals = projections._abs_cell_sums(np.array(rows, dtype=object))
+        assert totals.tolist() == [abs_sum(row) for row in rows]
+        lower_ok, upper_ok = khintchine_windows(np.array(rows, dtype=object))
+        assert list(zip(lower_ok.tolist(), upper_ok.tolist())) == [window(row) for row in rows]
+
+    @pytest.mark.parametrize("a", [
+        [F(1, 2), F(-3, 4), F(5), F(1, 3)],
+        [F(1, 7), F(2, 9), F(-5, 8), F(3), F(-1, 1024), F(0), F(11, 6)],
+        [F(1, 3**20), F(-1, 2**40), F(5, 11), F(7)] * 3,
+        [F(2**70 + 1, 3), F(-(2**69)), F(1, 5), F(3, 64), F(-2**70)],
+    ])
+    def test_one_row_with_any_denominators(self, a):
+        assert rademacher_sum_l1_exact(a) == abs_sum(a) / 2 ** len(a)
+        res = khintchine_check(a)
+        assert (res["lower_ok"], res["upper_ok"]) == window(a)
+        assert res["l2_squared"] == sum(v * v for v in a)
+
+    def test_window_can_fail(self, monkeypatch):
+        # (1, 1) is on the lower edge and (1, 0) on the upper one, so one
+        # unit less or more in their cell sums leaves the window
+        rows = np.array([[1, 1], [1, 0]], dtype=np.int64)
+        exact = projections._abs_cell_sums(rows)
+        assert exact.tolist() == [4, 4]
+        for shift, expected in ((0, [[True, True], [True, True]]),
+                                (-1, [[False, True], [True, True]]),
+                                (1, [[True, True], [True, False]])):
+            monkeypatch.setattr(projections, "_abs_cell_sums", lambda rows, d=shift: exact + d)
+            lower_ok, upper_ok = khintchine_windows(rows)
+            assert [lower_ok.tolist(), upper_ok.tolist()] == expected
 
 
 class TestBracket:
