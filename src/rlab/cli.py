@@ -169,7 +169,7 @@ def _theorems(rep: Report, args) -> None:
     X = parse_space(args.space)
     w = parse_weight(args.weight)
     for key, value in theorem_predicates(X, w, seed=args.seed).items():
-        rep.add(key, value, method="trend" if isinstance(value, dict) else "exact")
+        rep.add(key, value, method="proxy" if isinstance(value, dict) else "exact")
 
 
 def _indices(rep: Report, args) -> None:

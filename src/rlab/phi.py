@@ -122,8 +122,8 @@ class PowerOrlicz(OrliczFn):
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1:  # NaN too
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:  # NaN too
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
 
     @property
     def label(self) -> str:
@@ -147,8 +147,8 @@ class ExpPowerOrlicz(OrliczFn):
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1:  # NaN too
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:  # NaN too
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
 
     @property
     def label(self) -> str:

@@ -26,9 +26,8 @@ GOLDEN_TOL = 1e-9
 PRUNE_MARGIN = 1.0 + 1e-9
 ORLICZ_TOL = 1e-10
 ORLICZ_MARGIN = 1e-9
-TREND_GROWTH = 1e-3
-# grid depths j of the doubling truncations t >= 2**-j that divergence_trend reads
-TRUNCATIONS = (16, 32, 64, 128, 256)
+# the Marcinkiewicz kernel's sup is taken over t = 2**-j for j up to this depth
+SUP_GRID_DEPTH = 256
 # the deepest f* level whose phi values at the cell ends a space keeps
 PHI_GRID_LEVEL = 12
 
@@ -61,12 +60,23 @@ def logpow_cumulative(q: float, t: float) -> float:
     return math.e * _upper_gamma(q + 1.0, math.log(math.e / t))
 
 
-def divergence_trend(values: list[float]) -> bool:
-    """Doubling-truncation certificate: diverging iff the last three doublings
-    each grow by more than TREND_GROWTH relative."""
-    growths = [(b - a) / a if a > 0 else (math.inf if b > 0 else 0.0)
-               for a, b in zip(values, values[1:])]
-    return len(growths) >= 3 and all(g > TREND_GROWTH for g in growths[-3:])
+def loghalf_stieltjes(phi: PhiFn, t: float) -> float:
+    """Integral of log^(1/2)(e/s) d phi(s) over s in (0, t], for
+    phi = s**a * L**b with (a, b) = phi.exponents and L = log(e/s).
+
+    Substituting s = e^(1-u) gives e^a times the integral of
+    u^(1/2) e^(-a u) (a u^b - b u^(b-1)) over u in [L, oo): for a > 0 that is
+    e^a a^-(b+1/2) [Gamma(b+3/2, aL) - b Gamma(b+1/2, aL)] (DLMF 8.2.2), and
+    for a = 0 it is -b / (-b - 1/2) L^(b+1/2), finite where b < -1/2, which
+    is where log^(1/2) lies in Lambda(phi).
+    """
+    if t <= 0:
+        return 0.0
+    a, b = phi.exponents
+    L = math.log(math.e / t)
+    if a == 0:
+        return -b / (-b - 0.5) * L ** (b + 0.5)
+    return math.exp(a) * a ** -(b + 0.5) * (_upper_gamma(b + 1.5, a * L) - b * _upper_gamma(b + 0.5, a * L))
 
 
 def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
@@ -82,21 +92,10 @@ def _star_cells(f: StepFunction) -> list[tuple[float, float, float]]:
     return cells
 
 
-def _loghalf(t: float) -> float:
-    return math.sqrt(math.log(math.e / t))
-
-
-def _stieltjes_term(phi: PhiFn, lo: float, b: float, v: float) -> float:
-    """v * integral over [lo, b] of log^(1/2)(e/t) d phi(t), by a
-    geometric-grid Stieltjes sum refined toward the left edge."""
-    ts = np.geomspace(lo, b, num=max(8, int(24 * math.log2(b / lo) + 8)))
-    phis = [phi(float(t)) for t in ts]
-    mids = [math.sqrt(t0 * t1) for t0, t1 in zip(ts, ts[1:])]
-    return v * math.fsum(_loghalf(m) * (p1 - p0) for m, p0, p1 in zip(mids, phis, phis[1:]))
-
-
 class SpaceSpec:
     family = "abstract"
+    # how sym_kernel finds its value
+    sym_method = "closed-form"
 
     @functools.cached_property
     def _phi_grids(self) -> dict[tuple[PhiFn, int], list]:
@@ -141,9 +140,11 @@ class SpaceSpec:
         """Membership of log^(1/2)(e/t) in the space, by a closed form."""
         raise NotImplementedError
 
-    def sym_kernel(self, cells: list[tuple[float, float, float]]) -> dict:
+    def sym_kernel(self, cells: list[tuple[float, float, float]]) -> float:
         """Norm of f*(t) log^(1/2)(e/t), f* given by its nonzero `cells`
-        (see _star_cells), with its truncation trend."""
+        (see _star_cells).  Called only for a space that contains
+        log^(1/2)(e/t): f* is bounded and positive near 0, so the product
+        lies in the space exactly then (see sym_kernel_report)."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -176,34 +177,45 @@ class Lp(SpaceSpec):
         if p.denominator == 1:
             # the p-th moment correctly rounded, then one root: past the guard
             # from a fixed-point sum where it decides the float, else from the
-            # exact moment by one division; a quotient below the normal range
-            # is first scaled by an exact 2**(p*k) taken from the bit lengths,
-            # and the root back by 2**-k
+            # exact moment by one division; a quotient outside the normal range
+            # is first scaled by an exact 2**(-p*e) taken from the bit lengths,
+            # and the root back by 2**e
             q = int(p)
             r = f._rounded_moment(q)
             if r is not None:
                 return r ** (1.0 / q)
             num, den = f._moment_pair(q)
-            r = num / den
-            if r >= sys.float_info.min or not num:
+            try:
+                r = num / den
+            except OverflowError:
+                r = math.inf
+            if sys.float_info.min <= r < math.inf or not num:
                 return r ** (1.0 / q)
-            k = -((num.bit_length() - den.bit_length()) // q)
-            return math.ldexp(((num << q * k) / den) ** (1.0 / q), -k)
-        pf = float(p)
-        width = 1.0 / 2**f.level
+            e = (num.bit_length() - den.bit_length()) // q
+            root = ((num << max(-q * e, 0)) / (den << max(q * e, 0))) ** (1.0 / q)
+        else:
+            pf = float(p)
+            width = 1.0 / 2**f.level
 
-        def moment(values) -> float:
-            return math.fsum(length * v**pf for length, v in values) * width
+            def moment(values) -> float:
+                return math.fsum(length * v**pf for length, v in values) * width
 
-        total = moment(f.abs_float_runs())
-        if total >= sys.float_info.min:
-            return total ** (1.0 / pf)
-        # below the normal range: rerun on f scaled by an exact 2**-e, and
-        # scale the root back
-        e = f.log2_max()
-        if e is None:
-            return 0.0
-        return math.ldexp(moment(f.abs_float_runs(e)) ** (1.0 / pf), e)
+            try:
+                total = moment(f.abs_float_runs())
+            except OverflowError:
+                total = math.inf
+            if sys.float_info.min <= total < math.inf:
+                return total ** (1.0 / pf)
+            # outside the normal range: rerun on f scaled by an exact 2**-e,
+            # and scale the root back
+            e = f.log2_max()
+            if e is None:
+                return 0.0
+            root = moment(f.abs_float_runs(e)) ** (1.0 / pf)
+        try:
+            return math.ldexp(root, e)
+        except OverflowError:
+            raise OverflowError(f"{self.label} norm exceeds the float range") from None
 
     def fundamental(self, t) -> float:
         return float(t) ** (1.0 / float(self.p))
@@ -214,13 +226,13 @@ class Lp(SpaceSpec):
     def contains_loghalf(self) -> bool:
         return True
 
-    def sym_kernel(self, cells) -> dict:
+    def sym_kernel(self, cells) -> float:
         p = float(self.p)
         total = math.fsum(
             v**p * (logpow_cumulative(p / 2.0, b) - logpow_cumulative(p / 2.0, a))
             for a, b, v in cells
         )
-        return {"value": total ** (1.0 / p), "diverging": False, "trend": []}
+        return total ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -238,9 +250,6 @@ class Linfty(SpaceSpec):
 
     def contains_loghalf(self) -> bool:
         return False
-
-    def sym_kernel(self, cells) -> dict:
-        return {"value": math.inf, "diverging": True, "trend": []}
 
 
 @dataclass(frozen=True)
@@ -274,29 +283,16 @@ class Lorentz(SpaceSpec):
         a, b = self.phi.exponents
         return a > 0 or b < -0.5
 
-    def sym_kernel(self, cells) -> dict:
-        # each partial sum adds the cells' terms in cell order; a cell that
-        # starts at or above the widest cutoff is cut by none, so its term is
-        # computed once
-        widest = 2.0**-TRUNCATIONS[0]
-        uncut = [_stieltjes_term(self.phi, a, b, v) if widest <= a < b else None for a, b, v in cells]
-        partials = []
-        for j in TRUNCATIONS:
-            total = 0.0
-            for (a, b, v), term in zip(cells, uncut):
-                if term is None:
-                    lo = max(a, 2.0**-j)
-                    if lo >= b:
-                        continue
-                    term = _stieltjes_term(self.phi, lo, b, v)
-                total += term
-            partials.append(total)
-        diverging = divergence_trend(partials)
-        return {
-            "value": math.inf if diverging else partials[-1],
-            "diverging": diverging,
-            "trend": partials,
-        }
+    def sym_kernel(self, cells) -> float:
+        # f* log^(1/2) is decreasing, so its Lorentz norm is the Stieltjes
+        # integral against phi, taken cell by cell in closed form
+        terms = []
+        prev = 0.0
+        for _, b, v in cells:
+            cur = loghalf_stieltjes(self.phi, b)
+            terms.append(v * (cur - prev))
+            prev = cur
+        return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -304,6 +300,7 @@ class Marcinkiewicz(SpaceSpec):
     phi: PhiFn
 
     family = "marcinkiewicz"
+    sym_method = "grid-sup estimate"
 
     def params(self) -> dict:
         return {"phi": self.phi.label}
@@ -359,7 +356,7 @@ class Marcinkiewicz(SpaceSpec):
         a, b = self.phi.exponents
         return a > 0 or b <= -0.5
 
-    def sym_kernel(self, cells) -> dict:
+    def sym_kernel(self, cells) -> float:
         # H(t) = sum of v*(L(min(t, b)) - L(a)) over the cells with a < t,
         # from prefix sums added in the direct sum's left-to-right order
         L = functools.partial(logpow_cumulative, 0.5)
@@ -378,17 +375,9 @@ class Marcinkiewicz(SpaceSpec):
         def objective(t: float) -> float:
             return self.phi(t) / t * H(t)
 
-        # each candidate is evaluated once; a truncation's candidates are a
-        # prefix of the dyadic grid, then the cell ends
-        grid = [objective(2.0**-j) for j in range(TRUNCATIONS[-1] + 1)]
-        edges = [objective(b) for _, b, _ in cells]
-        sups = [max(grid[: jmax + 1] + edges) for jmax in TRUNCATIONS]
-        diverging = divergence_trend(sups)
-        return {
-            "value": math.inf if diverging else sups[-1],
-            "diverging": diverging,
-            "trend": sups,
-        }
+        # the max over the dyadic grid and the cell ends, an estimate from below
+        grid = [objective(2.0**-j) for j in range(SUP_GRID_DEPTH + 1)]
+        return max(grid + [objective(b) for _, b, _ in cells])
 
 
 @dataclass(frozen=True)
@@ -490,7 +479,7 @@ class OrliczSpace(SpaceSpec):
             return self.M.p <= 2.0
         return self._proxy().contains_loghalf()
 
-    def sym_kernel(self, cells) -> dict:
+    def sym_kernel(self, cells) -> float:
         return self._proxy().sym_kernel(cells)
 
 
@@ -537,15 +526,11 @@ class ExpLp(SpaceSpec):
     def contains_loghalf(self) -> bool:
         return float(self.p) <= 2.0
 
-    def sym_kernel(self, cells) -> dict:
+    def sym_kernel(self, cells) -> float:
+        # with p <= 2, log^(1/2 - 1/p)(e/t) is nondecreasing in t, so each
+        # cell's sup is at its right end
         e0 = 0.5 - 1.0 / float(self.p)
-        if e0 > 0 and cells[0][0] == 0.0:
-            return {"value": math.inf, "diverging": True, "trend": []}
-        best = 0.0
-        for a, b, v in cells:
-            t = b if e0 <= 0 else max(a, 1e-300)
-            best = max(best, v * math.log(math.e / t) ** e0)
-        return {"value": best, "diverging": False, "trend": []}
+        return max(v * math.log(math.e / b) ** e0 for _, b, v in cells)
 
 
 def _golden_max(g, a: float, b: float) -> float:
@@ -633,11 +618,16 @@ def contains_loghalf(X: SpaceSpec) -> bool:
     return X.contains_loghalf()
 
 
-def sym_kernel_report(X: SpaceSpec, f: StepFunction) -> dict:
-    """Norm of f*(t) log^(1/2)(e/t) in X with a truncation-trend certificate."""
+def sym_kernel_report(X: SpaceSpec, f: StepFunction) -> float:
+    """Norm of f*(t) log^(1/2)(e/t) in X: 0.0 for f = 0, inf where X does
+    not contain log^(1/2)(e/t) (a nonzero f* is bounded and positive near 0,
+    so the product lies in X exactly when log^(1/2) does), and otherwise the
+    family's value, by the method X.sym_method names."""
     cells = _star_cells(f)
     if not cells:
-        return {"value": 0.0, "diverging": False, "trend": []}
+        return 0.0
+    if not X.contains_loghalf():
+        return math.inf
     return X.sym_kernel(cells)
 
 

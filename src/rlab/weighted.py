@@ -72,6 +72,6 @@ def parse_weight(text: str) -> Weight:
             if not 0 <= level <= LEVEL_CAP:
                 raise InvalidSpec(f"sampling level {level} outside 0..{LEVEL_CAP}")
             return Weight.logpow(beta, level)
-    except (LookupError, TypeError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (LookupError, TypeError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         raise InvalidSpec(f"malformed weight descriptor {text!r}: {type(exc).__name__}: {exc}") from exc
     raise InvalidSpec(f"unknown weight kind {kind!r}")

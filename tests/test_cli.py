@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -109,12 +110,33 @@ class TestNorm:
         ("lp:5/2", "1e200,1"),
         # a 301-bit denominator takes the per-run Fraction path
         ("lp:2", f"1e200,1/{2**300 + 1}"),
+        ("lp:200", "40,1"),
+        ("lp:401/2", "40,1"),
+    ])
+    def test_norm_past_float_moment(self, capsys, space, values):
+        # the p-th moment passes the float range, the norm does not
+        code, doc = run_json(capsys, "norm", "--space", space, "--values", values)
+        assert code == 0
+        value = records(doc)["norm"]["value"]
+        with mpmath.workprec(200):
+            p, *vals = (mpmath.mpf(x.numerator) / x.denominator
+                        for x in map(F, [space.split(":")[1], *values.split(",")]))
+            exact = float((mpmath.fsum(v**p for v in vals) / len(vals)) ** (1 / p))
+        assert abs(value - exact) <= math.ulp(exact)
+
+    @pytest.mark.parametrize("space,values", [
+        ("lp:2", "1e400,1"),
+        ("lp:4", "1e400,1"),
+        ("lp:5/2", "1e400,1"),
+        # a 301-bit denominator takes the per-run Fraction path
+        ("lp:2", f"1e400,1/{2**300 + 1}"),
     ])
     def test_overflow_exit_2(self, capsys, space, values):
         code = main(["norm", "--space", space, "--values", values])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert "norm exceeds the float range" in err
 
     def test_orlicz_norm_past_float_range_exit_2(self):
         # the norm 1.5e308 / M^-1(1) = 1.5e308 / (log 2)^(2/3) passes the float
@@ -320,6 +342,24 @@ class TestProjectionCommands:
         assert code == 0
         assert records(doc)["branch"]["value"] == "equivalence"
 
+    @pytest.mark.parametrize("space,expected", [
+        # with w = 1 the kernel is log^(1/2)(e/t); in Lambda(L^-beta) its
+        # norm is beta / (beta - 1/2)
+        ("lorentz:logpow:0.75", 3),
+        ("lorentz:logpow:1", 2),
+        # in Lambda(t^alpha): alpha times the integral of u^(1/2) e^(alpha (1 - u))
+        # over [1, oo), that is e^alpha Gamma(3/2, alpha) / sqrt(alpha)
+        ("lorentz:pow:0.05", mpmath.e**0.05 * mpmath.gammainc(1.5, 0.05) / mpmath.sqrt(0.05)),
+    ])
+    def test_theorems_lorentz_kernel_near_the_edge(self, capsys, space, expected):
+        code, doc = run_json(capsys, "theorems", "--space", space, "--weight", "const:1")
+        assert code == 0
+        recs = records(doc)
+        sym = recs["w_in_sym_proxy"]["value"]
+        assert sym["value"] is True and sym["method"] == "closed-form"
+        assert sym["sym_norm"] == pytest.approx(float(expected), rel=1e-12)
+        assert math.isfinite(recs["w_in_mult"]["value"]["upper"])
+
 
 class TestIndices:
     def test_sqrt_phi(self, capsys):
@@ -491,6 +531,12 @@ BAD_FILES = {
     "indices --phi logpow:1.5",
     "norm --space orlicz:exp:nan --values 1,2",
     "norm --space orlicz:pow:nan --values 1,2",
+    # non-finite parameters
+    "norm --space orlicz:exp:inf --values 1,2",
+    "norm --space orlicz:pow:inf --values 1,2",
+    "projnorm --space lp:2 --weight logpow:inf --n-list 2",
+    "projnorm --space lp:2 --weight logpow:1e300 --n-list 2",
+    "projnorm --space lp:2 --weight logpow:nan --n-list 2",
     "khintchine --n 0",
     # above KHINTCHINE_MAX_N = 20, whatever the draws
     "khintchine --n 21 --trials 3",
@@ -533,7 +579,10 @@ REASONS = {
     "norm --space lp:1/0 --values 1,2": "'lp:1/0': ZeroDivisionError: Fraction(1, 0)",
     "norm --space lorentz:logpow:2 --values 1,1":
         "'lorentz:logpow:2': ValueError: beta must be in (0,1], got 2.0",
-    "norm --space orlicz:exp:nan --values 1,2": "'orlicz:exp:nan': ValueError: p must be >= 1, got nan",
+    "norm --space orlicz:exp:nan --values 1,2": "'orlicz:exp:nan': ValueError: p must be finite and >= 1, got nan",
+    "norm --space orlicz:exp:inf --values 1,2": "'orlicz:exp:inf': ValueError: p must be finite and >= 1, got inf",
+    "projnorm --space lp:2 --weight logpow:inf --n-list 2":
+        "'logpow:inf': OverflowError: cannot convert Infinity to integer ratio",
     "norm --space explp:1/2 --values 1,1": "error: p must be >= 1, got 1/2",
     "projnorm --space lp:2 --weight const:1/0 --n-list 2": "'const:1/0': ZeroDivisionError: Fraction(1, 0)",
     "projnorm --space lp:2 --weight step:nolevel.json --n-list 2": "'step:nolevel.json': KeyError: 'runs'",
@@ -587,7 +636,7 @@ README_DIGESTS = {
     "rlab multiplicator --space lp:1 --values 1,1,1,1 --n 8 --budget 200":
         "9912e05f614b926be28a686d0562641a54fa49f1ed17a1df7c2a981d17e24003",
     "rlab theorems --space lp:2 --weight const:1":
-        "7e14bffa7ce1823612d4e370f52ecaceb016a6837141f3d0d1806706b5bfa83e",
+        "96259b53d3a77e388caee1fb1cbaa5c024685928c2a13e7d224aecf20597c4a1",
     "rlab cex plan --m 1,16":
         "7d1f4e5210af6474570e69832aed0670f7dbd00440317cb84d5dd599b54cddc4",
     "rlab cex build --m 2,3 --relaxed --blocks 2":
@@ -633,11 +682,11 @@ def test_readme_commands_reproduce(tmp_path, monkeypatch):
 # products with Rademacher sums, past the denominator guard.
 DUAL_PATH_DIGESTS = {
     "rlab theorems --space lp:2 --weight logpow:0.5:level=8":
-        "5fef0283ff7eeceec34cf2685ca9a77943a1b2cfb197eb6ba5ebb7b5a27b351f",
+        "e31abf87744e73abd7a1400ff7200b18c5876510e12086e8694a9d45840fde1b",
     "rlab theorems --space explp:2 --weight logpow:0.5:level=8":
-        "26fb609d683898290240b856f441b16f278a169d69d367b9c3fde0d2bcfe6b53",
+        "598578ade0ef8fe92c11b65f0fd2c9dd4eb4835fb3ca4d0c0e7f6963b734deb7",
     "rlab theorems --space lorentz:sqrt --weight logpow:0.5:level=8":
-        "00fd91cf8fed5f0fb723015e1842ffc0091bac31bc9a7d6f168d7dda2b1a8118",
+        "5db129788dfd300e4c865eb49b45ee67671293c8b3097a22cf9ff1fe8e386e43",
 }
 
 

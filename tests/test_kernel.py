@@ -11,8 +11,10 @@ in the same form, as one built from its runs.
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -179,10 +181,16 @@ def test_float_tie_is_past_the_guard():
     assert [v for _, v in star.runs][:2] == [F(1) + F(1, 2**60), F(1)]
 
 
+# |values| whose squares and fourth powers pass the float range while their
+# L_2 and L_4 norms do not
+MOMENT_OVERFLOW = make_step(3, [F(10**200), F(1), F(-(10**200) - 1), *OVERFLOW.values_at(3)[3:]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(past_guard())
 @example(FLOAT_TIE)
 @example(OVERFLOW)
+@example(MOMENT_OVERFLOW)
 def test_moments_past_the_guard(f):
     cells = cells_of(f, f.level)
     assert f.integral() == sum(cells, F(0)) / 2**f.level
@@ -191,10 +199,16 @@ def test_moments_past_the_guard(f):
         assert f.abs_moment(p) == moment
         try:
             expected = float(moment) ** (1.0 / p)
-        except OverflowError as exc:
-            # the norm fails as the float of the exact moment does
-            with pytest.raises(OverflowError, match=str(exc)):
-                Lp(F(p)).norm(f)
+        except OverflowError:
+            # past the float range the moment is scaled by a power of two:
+            # the root is within one ulp of mpmath's, or the norm fails
+            with mpmath.workprec(200):
+                root = mpmath.root(mpmath.mpf(moment.numerator) / moment.denominator, p)
+            if root > sys.float_info.max:
+                with pytest.raises(OverflowError, match="norm exceeds the float range"):
+                    Lp(F(p)).norm(f)
+            else:
+                assert abs(Lp(F(p)).norm(f) - float(root)) <= math.ulp(float(root))
         else:
             assert Lp(F(p)).norm(f) == expected
 
